@@ -51,7 +51,7 @@ check-tests:
 # count in the new report fails at any tolerance.
 bench-compare:
 	mkdir -p results
-	$(GO) run ./cmd/hicbench -out results/bench_smoke.json -fleet-hosts 400 -fleet-baseline-hosts 16 -no-warm -no-cold
+	$(GO) run ./cmd/hicbench -out results/bench_smoke.json -fleet-hosts 400 -no-warm -no-cold
 	$(GO) run ./cmd/hicbench -compare-tol 0.75 -compare BENCH_hotpath.json results/bench_smoke.json
 
 # bench-warm is the cross-run warm-start gate: a cold-then-warm fleet
@@ -117,8 +117,7 @@ bench-json:
 	$(GO) run ./cmd/hicbench -out BENCH_hotpath.json
 
 # bench-fleet is the fleet-execution smoke: a 10k-host Figure 1 fleet on
-# the pooled/deduplicated path against the goroutine-per-host baseline,
-# skipping the engine microbenchmarks.
+# the pooled/deduplicated path, skipping the engine microbenchmarks.
 bench-fleet:
 	$(GO) run ./cmd/hicbench -fleet-only -fleet-hosts 10000
 

@@ -182,7 +182,7 @@ func BenchmarkSinglePoint(b *testing.B) {
 		p := core.DefaultParams(12)
 		p.Warmup = sim.Millisecond
 		p.Measure = 4 * sim.Millisecond
-		if _, err := core.Run(p); err != nil {
+		if _, err := core.RunOn(p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,8 +13,8 @@
 //     end to end, reporting wall-clock and simulated events/sec (the
 //     whole-simulator number the microbenchmarks feed into);
 //   - fleet: a Figure 1 fleet on the pooled worker runner with
-//     singleflight dedup versus the pre-pool goroutine-per-host
-//     baseline, reporting hosts/sec, dedup rate, and peak memory;
+//     singleflight dedup, reporting hosts/sec, dedup rate, and peak
+//     memory;
 //   - fidelity: the multi-fidelity execution layer — per-point cost of
 //     the fluid solver vs full DES, and the same fleet re-run with
 //     -fidelity=auto routing (calibrated fluid + early stopping +
@@ -38,13 +38,13 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"hic/internal/cluster"
 	"hic/internal/core"
 	"hic/internal/fidelity"
+	"hic/internal/host"
 	"hic/internal/obs"
 	"hic/internal/observatory"
 	"hic/internal/pkt"
@@ -212,31 +212,23 @@ func runObservatory(off fig6Scenario) (observatoryBench, error) {
 	return ob, nil
 }
 
-// fleetBench compares the pooled, deduplicated fleet path against the
-// pre-pool execution model (one goroutine and one fresh engine per
-// host, no dedup). The baseline runs fewer hosts — its per-host cost is
-// host-count-independent, so hosts/sec extrapolates — and BaselineHosts
-// records how many were actually run. Peak memory is HeapInuse+
-// StackInuse sampled during the run (not VmHWM, which never shrinks).
+// fleetBench measures the pooled, deduplicated fleet path. Peak memory
+// is HeapInuse+StackInuse sampled during the run (not VmHWM, which
+// never shrinks).
 type fleetBench struct {
 	Hosts int `json:"hosts"`
 	// FidelityMode and Warm record how this fleet executed ("des"/"off"
 	// here) so -compare can refuse to gate rates across modes: a DES
 	// fleet and an auto-routed or warm-started fleet measure different
 	// work even at the same host count.
-	FidelityMode         string  `json:"fidelity_mode,omitempty"`
-	Warm                 string  `json:"warm,omitempty"`
-	WallSeconds          float64 `json:"wall_seconds"`
-	HostsPerSec          float64 `json:"hosts_per_sec"`
-	Simulated            uint64  `json:"simulated"`
-	Deduplicated         uint64  `json:"deduplicated"`
-	DedupRate            float64 `json:"dedup_rate"`
-	PeakMemBytes         uint64  `json:"peak_mem_bytes"`
-	BaselineHosts        int     `json:"baseline_hosts"`
-	BaselineWallSeconds  float64 `json:"baseline_wall_seconds"`
-	BaselineHostsPerSec  float64 `json:"baseline_hosts_per_sec"`
-	BaselinePeakMemBytes uint64  `json:"baseline_peak_mem_bytes"`
-	SpeedupRatio         float64 `json:"speedup_ratio"`
+	FidelityMode string  `json:"fidelity_mode,omitempty"`
+	Warm         string  `json:"warm,omitempty"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	HostsPerSec  float64 `json:"hosts_per_sec"`
+	Simulated    uint64  `json:"simulated"`
+	Deduplicated uint64  `json:"deduplicated"`
+	DedupRate    float64 `json:"dedup_rate"`
+	PeakMemBytes uint64  `json:"peak_mem_bytes"`
 }
 
 // memPeak samples the Go heap while a workload runs and keeps the max.
@@ -287,7 +279,7 @@ func fleetConfig(hosts int) cluster.Config {
 	return cfg
 }
 
-func runFleet(hosts, baselineHosts int) (fleetBench, error) {
+func runFleet(hosts int) (fleetBench, error) {
 	// Pooled path: shared worker pool, arena reuse, singleflight dedup.
 	cfg := fleetConfig(hosts)
 	cfg.Progress = runner.NewProgress(os.Stderr, "fleet bench", "hosts", hosts, 5*time.Second)
@@ -314,34 +306,6 @@ func runFleet(hosts, baselineHosts int) (fleetBench, error) {
 		fb.DedupRate = float64(st.Collapsed) / float64(total)
 	}
 
-	// Baseline: the pre-pool model — one goroutine per host, a fresh
-	// engine each, every host simulated.
-	bcfg := fleetConfig(baselineHosts)
-	mp = startMemPeak()
-	start = time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, baselineHosts)
-	for i := 0; i < baselineHosts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, _ := cluster.HostScenario(bcfg, i)
-			_, errs[i] = core.Run(p)
-		}(i)
-	}
-	wg.Wait()
-	fb.BaselineWallSeconds = time.Since(start).Seconds()
-	fb.BaselinePeakMemBytes = mp.Stop()
-	for _, err := range errs {
-		if err != nil {
-			return fleetBench{}, err
-		}
-	}
-	fb.BaselineHosts = baselineHosts
-	fb.BaselineHostsPerSec = float64(baselineHosts) / fb.BaselineWallSeconds
-	if fb.BaselineHostsPerSec > 0 {
-		fb.SpeedupRatio = fb.HostsPerSec / fb.BaselineHostsPerSec
-	}
 	return fb, nil
 }
 
@@ -577,19 +541,27 @@ func runWarmStart(hosts int, tol, auditRate, warmAuditRate float64) (warmStartBe
 	// turn a repeated planned run into a map lookup.
 	p := core.DefaultParams(4)
 	p.Warmup, p.Measure = 2*sim.Millisecond, 3*sim.Millisecond
-	_, snap, err := core.RunAndSnapshotOn(p, nil)
-	if err != nil {
+	var snap host.Snapshot
+	if _, err := core.Simulate(p, nil, func(tb *host.Testbed, p core.Params) core.Results {
+		res := tb.Run(p.Warmup, p.Measure)
+		snap = tb.Snapshot()
+		return res
+	}); err != nil {
 		return wb, err
 	}
 	p2 := p
 	p2.Seed = 42
 	guard := core.DefaultWarmGuard(p2)
-	if _, err := core.RunWarmOn(p2, snap, guard, nil); err != nil { // pool warm-up outside the timed loop
+	warm := func(tb *host.Testbed, p core.Params) core.Results {
+		tb.Prime(snap)
+		return tb.Run(guard, p.Measure)
+	}
+	if _, err := core.Simulate(p2, nil, warm); err != nil { // pool warm-up outside the timed loop
 		return wb, err
 	}
 	wb.WarmPoint = toResult(testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunWarmOn(p2, snap, guard, nil); err != nil {
+			if _, err := core.Simulate(p2, nil, warm); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -641,7 +613,6 @@ var heapSink *pkt.Packet
 func main() {
 	out := flag.String("out", "", "write JSON here instead of stdout")
 	fleetHosts := flag.Int("fleet-hosts", 10000, "fleet-bench size on the pooled path (0 skips the fleet bench)")
-	fleetBaseline := flag.Int("fleet-baseline-hosts", 256, "hosts for the goroutine-per-host baseline (hosts/sec extrapolates)")
 	fleetOnly := flag.Bool("fleet-only", false, "run only the fleet bench, skipping the engine and packet microbenchmarks")
 	// 0.10 is the bench's routing tolerance (the CLIs default to a more
 	// conservative 0.05): the routing gate only admits points bounded
@@ -743,7 +714,7 @@ func main() {
 
 	if *fleetHosts > 0 && !*warmOnly && !*serveOnly && !*coldOnly {
 		orun.SetPhase("fleet")
-		fleet, err := runFleet(*fleetHosts, *fleetBaseline)
+		fleet, err := runFleet(*fleetHosts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hicbench: fleet bench: %v\n", err)
 			os.Exit(1)
@@ -816,9 +787,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hicbench: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (engine speedup %.2fx, fig6 %.1fM events/s, fleet %.1f hosts/s %.2fx, auto %.1f hosts/s %.2fx, cold %.1f hosts/s %.2fx, warm %.1f hosts/s %.2fx, serve scaling %.2fx warm %.2fx)\n",
+	fmt.Fprintf(os.Stderr, "wrote %s (engine speedup %.2fx, fig6 %.1fM events/s, fleet %.1f hosts/s, auto %.1f hosts/s %.2fx, cold %.1f hosts/s %.2fx, warm %.1f hosts/s %.2fx, serve scaling %.2fx warm %.2fx)\n",
 		*out, rep.Engine.SpeedupRatio, rep.Fig6.EventsPerSec/1e6,
-		rep.Fleet.HostsPerSec, rep.Fleet.SpeedupRatio,
+		rep.Fleet.HostsPerSec,
 		rep.Fidelity.HostsPerSec, rep.Fidelity.SpeedupVsDES,
 		rep.ColdPath.ColdHostsPerSec, rep.ColdPath.Speedup,
 		rep.WarmStart.WarmHostsPerSec, rep.WarmStart.WarmSpeedup,

@@ -22,6 +22,7 @@ import (
 	"hic/internal/core"
 	"hic/internal/experiments"
 	"hic/internal/fidelity"
+	"hic/internal/host"
 	"hic/internal/obs"
 	"hic/internal/observatory"
 	"hic/internal/runcache"
@@ -192,7 +193,13 @@ func printFig6Incidents(w io.Writer, seed uint64) error {
 	p := core.DefaultParams(12)
 	p.AntagonistCores = 8
 	p.Seed = seed
-	res, rep, err := core.RunObserved(p, observatory.DefaultConfig())
+	var rep *observatory.HostReport
+	res, err := core.Simulate(p, nil, func(tb *host.Testbed, p core.Params) core.Results {
+		mon := observatory.Attach(tb, observatory.DefaultConfig())
+		res := tb.Run(p.Warmup, p.Measure)
+		rep = mon.Report()
+		return res
+	})
 	if err != nil {
 		return err
 	}

@@ -147,18 +147,16 @@ func main() {
 		}
 		ocfg := observatory.DefaultConfig()
 		ocfg.SampleEvery = sim.Duration(*observeEvery) * sim.Microsecond
-		rows, err = sweep.RunObserved(spec, ocfg)
+		rows, err = sweep.RunProbed(spec, nil, sweep.Observatory(ocfg))
 	} else if *telemetryOut != "" {
 		// Telemetry sweeps always simulate: spans are a per-run byproduct
 		// the result cache does not store. The router still decides which
 		// points the fluid solver would serve — those carry no spans and
 		// are skipped (and counted) by the JSONL exporter instead of being
 		// written as empty records.
-		rows, err = sweep.RunDetailedVia(spec, routerExec(router), *spanRate)
-	} else if router != nil {
-		rows, err = sweep.RunCachedVia(spec, router, store)
+		rows, err = sweep.RunProbed(spec, routerExec(router), sweep.Telemetry(*spanRate))
 	} else {
-		rows, err = sweep.RunCached(spec, store)
+		rows, err = sweep.Run(spec, routerExec(router), store)
 	}
 	if router != nil {
 		defer func() {

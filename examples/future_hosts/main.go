@@ -16,7 +16,7 @@ import (
 
 func run(name string, p core.Params) {
 	p.Warmup, p.Measure = 10*sim.Millisecond, 15*sim.Millisecond
-	res, err := core.Run(p)
+	res, err := core.RunOn(p, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,11 @@ func main() {
 		on.Warmup, on.Measure = 10*sim.Millisecond, 15*sim.Millisecond
 		off := on
 		off.IOMMU = false
-		rs, err := core.RunMany([]core.Params{on, off})
+		var rs [2]core.Results
+		err := core.RunEach(nil, []core.Params{on, off}, nil, func(i int, r core.Results) error {
+			rs[i] = r
+			return nil
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

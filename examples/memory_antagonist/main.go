@@ -24,7 +24,7 @@ func main() {
 		p := core.DefaultParams(12)
 		p.AntagonistCores = cores
 		p.Warmup, p.Measure = 10*sim.Millisecond, 15*sim.Millisecond
-		res, err := core.Run(p)
+		res, err := core.RunOn(p, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

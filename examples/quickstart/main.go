@@ -17,7 +17,7 @@ func main() {
 	// control, IOMMU enabled with 2 MB hugepage mappings.
 	params := core.DefaultParams(12)
 
-	res, err := core.Run(params)
+	res, err := core.RunOn(params, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func main() {
 	// The same point with memory protection disabled: the NIC-to-CPU
 	// path is no longer translation-limited.
 	params.IOMMU = false
-	off, err := core.Run(params)
+	off, err := core.RunOn(params, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,6 +37,7 @@ import (
 
 	"hic/internal/core"
 	"hic/internal/fidelity"
+	"hic/internal/host"
 	"hic/internal/obs"
 	"hic/internal/observatory"
 	"hic/internal/runcache"
@@ -122,6 +123,65 @@ func (cfg Config) windows() (warm, meas sim.Duration) {
 		meas = 12 * sim.Millisecond
 	}
 	return warm, meas
+}
+
+// simulate is the fleet's pure-DES executor. It counts the simulations
+// actually executed (cache hits and collapsed duplicates never reach
+// it) and, with an observatory, attaches the sampler and memoizes the
+// host's report under the scenario key, so a dedup-collapsed host
+// replays it.
+type simulate struct {
+	n    *atomic.Uint64
+	obsv *observatory.Collector
+}
+
+func (s simulate) Plan(p core.Params) (string, func(*runner.Arena) (core.Results, error), error) {
+	return core.SimVersion, func(a *runner.Arena) (core.Results, error) {
+		s.n.Add(1)
+		if s.obsv == nil {
+			return core.RunOn(p, a)
+		}
+		var rep *observatory.HostReport
+		res, err := core.Simulate(p, a, func(tb *host.Testbed, p core.Params) core.Results {
+			mon := observatory.Attach(tb, s.obsv.SamplerConfig())
+			res := tb.Run(p.Warmup, p.Measure)
+			rep = mon.Report()
+			return res
+		})
+		if err == nil {
+			s.obsv.Memo(p.CacheKey(), rep)
+		}
+		return res, err
+	}, nil
+}
+
+// runWindows simulates a multi-window host: one testbed, consecutive
+// bins, the first after the warmup and the rest back to back. The
+// monitor spans every bin, so episodes can cross bin boundaries.
+func runWindows(p core.Params, meta Point, windows int, obsv *observatory.Collector, a *runner.Arena) (hostOut, error) {
+	out := hostOut{pts: make([]Point, 0, windows)}
+	_, err := core.Simulate(p, a, func(tb *host.Testbed, p core.Params) core.Results {
+		var mon *observatory.Monitor
+		if obsv != nil {
+			mon = observatory.Attach(tb, obsv.SamplerConfig())
+		}
+		var r core.Results
+		for w := 0; w < windows; w++ {
+			warm := p.Warmup
+			if w > 0 {
+				warm = 0
+			}
+			r = tb.Run(warm, p.Measure)
+			pt := meta
+			pt.Window = w
+			pt.Utilization = r.LinkUtilization
+			pt.DropRate = r.DropRatePct / 100
+			out.pts = append(out.pts, pt)
+		}
+		out.rep = mon.Report()
+		return r
+	})
+	return out, err
 }
 
 // Point is one host's measurement over one time bin.
@@ -505,6 +565,11 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 		pool = runner.Shared()
 	}
 	var simulated atomic.Uint64
+	if exec == nil {
+		// An executor's own counters account its executions; the
+		// fleet's pure-DES executor counts into simulated.
+		exec = simulate{n: &simulated, obsv: obsv}
+	}
 	agg := newAggregator()
 	err := runner.MapOrdered(pool, n,
 		func(i int, a *runner.Arena) (hostOut, error) {
@@ -525,82 +590,22 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 			}
 			p, meta := HostScenario(cfg, host)
 			if windows == 1 {
-				var r core.Results
-				var rep *observatory.HostReport
-				var err error
-				switch {
-				case exec != nil:
-					// The executor decides strategy and cache salt per
-					// host; its own counters account the executions.
-					r, err = core.RunOnVia(exec, p, cache, flight, a)
-				case obsv != nil:
-					// Memoize the report under the scenario key so a
-					// dedup-collapsed host replays it: flight.Do returns
-					// only after the winning compute finished, so the
-					// memo entry is always present by then.
-					key := p.CacheKey()
-					compute := func() (core.Results, error) {
-						simulated.Add(1)
-						res, hr, rerr := core.RunObservedOn(p, obsv.SamplerConfig(), a)
-						if rerr == nil {
-							obsv.Memo(key, hr)
-						}
-						return res, rerr
-					}
-					if flight != nil {
-						r, err = flight.Do(key, compute)
-					} else {
-						r, err = compute()
-					}
-					if err == nil {
-						rep = obsv.Lookup(key)
-					}
-				default:
-					compute := func() (core.Results, error) {
-						simulated.Add(1)
-						return core.RunOn(p, a)
-					}
-					switch {
-					case cache != nil:
-						r, err = cache.GetOrCompute(p.CacheKey(), core.SimVersion, p.Canonical(), compute)
-					case flight != nil:
-						r, err = flight.Do(p.CacheKey(), compute)
-					default:
-						r, err = compute()
-					}
-				}
+				r, err := core.RunVia(exec, p, cache, flight, a)
 				if err != nil {
 					return hostOut{}, err
+				}
+				var rep *observatory.HostReport
+				if obsv != nil {
+					// flight.Do returns only after the winning compute
+					// finished, so a collapsed host finds the memo.
+					rep = obsv.Lookup(p.CacheKey())
 				}
 				meta.Utilization = r.LinkUtilization
 				meta.DropRate = r.DropRatePct / 100
 				return hostOut{pts: []Point{meta}, rep: rep}, nil
 			}
-			// Multi-window: one testbed, consecutive bins. The monitor
-			// spans every bin, so episodes can cross bin boundaries.
 			simulated.Add(1)
-			tb, err := p.BuildOn(a)
-			if err != nil {
-				return hostOut{}, err
-			}
-			var mon *observatory.Monitor
-			if obsv != nil {
-				mon = observatory.Attach(tb, obsv.SamplerConfig())
-			}
-			pts := make([]Point, 0, windows)
-			for w := 0; w < windows; w++ {
-				warm := p.Warmup
-				if w > 0 {
-					warm = 0 // back-to-back bins after the first
-				}
-				r := tb.Run(warm, p.Measure)
-				pt := meta
-				pt.Window = w
-				pt.Utilization = r.LinkUtilization
-				pt.DropRate = r.DropRatePct / 100
-				pts = append(pts, pt)
-			}
-			return hostOut{pts: pts, rep: mon.Report()}, nil
+			return runWindows(p, meta, windows, obsv, a)
 		},
 		func(i int, out hostOut) error {
 			for _, pt := range out.pts {

@@ -3,9 +3,11 @@ package cluster
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hic/internal/fidelity"
+	"hic/internal/obs"
 	"hic/internal/observatory"
 	"hic/internal/runcache"
 	"hic/internal/runner"
@@ -445,5 +447,63 @@ func TestFleetAutoRouterRerunDeterministic(t *testing.T) {
 	}
 	if ws.AnchorRuns != 0 || ws.Simulated != 0 {
 		t.Errorf("warm pass re-executed: %d anchors, %d simulations (want 0, 0)", ws.AnchorRuns, ws.Simulated)
+	}
+}
+
+// estopCounter is an obs.Sink counting early_stop events.
+type estopCounter struct{ n atomic.Uint64 }
+
+func (c *estopCounter) Emit(e obs.Event) {
+	if e.Kind == obs.KindEarlyStop {
+		c.n.Add(1)
+	}
+}
+func (*estopCounter) StartRun(string, int64, ...string) *obs.Run { return nil }
+func (*estopCounter) RunMetrics(obs.Snapshot)                    {}
+
+// TestEarlyStopEventPerStoppedRun: on an auto fleet with early stop and
+// full warm start, every early-stopped run — anchor, DES-routed point,
+// checkpoint donor or warm start — emits exactly one early_stop event
+// to the router's own sink, on the cold pass and on the warm pass.
+func TestEarlyStopEventPerStoppedRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet run is slow")
+	}
+	cfg := quickConfig(12)
+	cfg.Warmup, cfg.Measure = 2*sim.Millisecond, 4*sim.Millisecond
+	dir := t.TempDir()
+	for pass := 0; pass < 2; pass++ {
+		store, err := runcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &estopCounter{}
+		router, err := fidelity.New(fidelity.Config{
+			Mode:        fidelity.ModeAuto,
+			Tol:         0.08,
+			EarlyStop:   true,
+			Warm:        fidelity.WarmFull,
+			WarmStore:   store,
+			AnchorSeeds: SeedPool(cfg),
+			AnchorAnts:  []int{0, 15},
+			Sink:        sink,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Exec = router
+		if _, err := RunStream(cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		c := router.Counters()
+		if c.EarlyStopped == 0 {
+			t.Fatalf("pass %d: nothing early-stopped — the check is vacuous (%+v)", pass, c)
+		}
+		if got := sink.n.Load(); got != c.EarlyStopped {
+			t.Errorf("pass %d: %d early_stop events for %d early-stopped runs (%+v)", pass, got, c.EarlyStopped, c)
+		}
+		if pass == 1 && c.WarmStarted == 0 {
+			t.Errorf("warm pass warm-started nothing: %+v", c)
+		}
 	}
 }

@@ -2,16 +2,35 @@
 // testbed as a small declarative API. Callers describe a scenario with
 // Params — receiver threads, IOMMU on/off, hugepages, Rx region size,
 // antagonist cores, congestion control, and the §4 extension knobs — and
-// Run executes it, returning the measurements the paper plots
-// (application throughput, drop rate, IOTLB misses per packet, memory
-// bandwidth, host-delay percentiles).
+// run it, getting back the measurements the paper plots (application
+// throughput, drop rate, IOTLB misses per packet, memory bandwidth,
+// host-delay percentiles).
 //
-// RunMany executes independent scenarios on the shared bounded worker
-// pool (internal/runner): each worker owns a reusable arena — engine
-// free lists, packet pool, metrics registry — reset between runs, and
-// byte-identical duplicate scenarios are collapsed to one simulation by
-// in-process singleflight. Each simulation remains single-threaded and
-// deterministic for its seed, so sweeps are both fast and reproducible.
+// Every answer comes from one of five entry points:
+//
+//   - RunOn(p, a) simulates one scenario over its full windows. The DES
+//     executor, fidelity audits, examples and the benchmark's single
+//     point call it.
+//   - Simulate(p, a, drive) is the funnel RunOn is built on: it
+//     normalizes the windows, builds the testbed (on a worker arena when
+//     one is supplied), hands it to drive, and folds the finished run
+//     into the obs fleet rollup. Callers that prime, instrument, stop
+//     early or capture a run pass their own drive: internal/fidelity
+//     (early stop, warm starts, checkpoints), sweep probes, cluster
+//     observatory fleets, hicfigs and hicbench.
+//   - RunFluid(p) evaluates the analytical fluid solver instead; the
+//     fidelity router and the benchmark call it.
+//   - RunVia(exec, p, cache, flight, a) runs one scenario through an
+//     Executor, the result cache and a singleflight; cluster fleets and
+//     single routed points use it.
+//   - RunEach(exec, ps, cache, emit) fans scenarios out over the shared
+//     worker pool (internal/runner) and streams results in input order;
+//     sweeps, figure experiments and examples use it. Each worker owns
+//     a reusable arena — engine free lists, packet pool, metrics
+//     registry — reset between runs, and byte-identical duplicate
+//     scenarios are collapsed to one simulation. Each simulation stays
+//     single-threaded and deterministic for its seed, so sweeps are
+//     both fast and reproducible.
 package core
 
 import (
@@ -23,10 +42,8 @@ import (
 	"hic/internal/model"
 	"hic/internal/obs"
 	"hic/internal/pkt"
-	"hic/internal/runcache"
 	"hic/internal/runner"
 	"hic/internal/sim"
-	"hic/internal/telemetry"
 	"hic/internal/transport"
 	"hic/internal/transport/dctcp"
 	"hic/internal/transport/swift"
@@ -275,26 +292,38 @@ func (p Params) BuildOn(a *runner.Arena) (*host.Testbed, error) {
 	return host.NewWith(host.Runtime{Engine: engine, Pool: pool, Registry: registry}, cfg)
 }
 
-// Run executes one scenario: build, warm up, measure.
-func Run(p Params) (Results, error) {
-	return RunOn(p, nil)
+// RunOn executes one scenario over its full warmup and measure windows
+// on a worker arena: the arena's engine free lists, packet pool, and
+// metrics registry are reset and reused instead of reallocated, which
+// is what makes fleet-scale fan-out allocation-flat. A nil arena builds
+// fresh substrate.
+func RunOn(p Params, a *runner.Arena) (Results, error) {
+	return Simulate(p, a, nil)
 }
 
-// RunOn is Run on a worker arena: the arena's engine free lists, packet
-// pool, and metrics registry are reset and reused instead of
-// reallocated, which is what makes fleet-scale fan-out allocation-flat.
-// A nil arena is exactly Run.
-func RunOn(p Params, a *runner.Arena) (Results, error) {
+// Simulate is the single-point DES funnel: it normalizes p's windows,
+// builds the testbed on the arena (nil builds fresh substrate), runs
+// drive on it, and folds the completed run's registry into the control
+// plane's fleet-cumulative rollup. drive receives the normalized Params
+// and returns the run's Results; a nil drive is the full-window run
+// tb.Run(p.Warmup, p.Measure). Drives prime (tb.Prime), instrument
+// (tb.EnableSpans, observatory.Attach), stop early (EarlyStop.Drive) or
+// capture (tb.Snapshot) the testbed they are handed.
+func Simulate(p Params, a *runner.Arena, drive func(tb *host.Testbed, p Params) Results) (Results, error) {
 	p.normalizeWindows()
 	tb, err := p.BuildOn(a)
 	if err != nil {
 		return Results{}, err
 	}
-	res := tb.Run(p.Warmup, p.Measure)
-	// Fold the completed run's registry into the control plane's
-	// fleet-cumulative rollup. Snapshotting here is safe — the run is
-	// done and the arena is still exclusively ours — and the disabled
-	// path costs one atomic load and a nil check.
+	var res Results
+	if drive == nil {
+		res = tb.Run(p.Warmup, p.Measure)
+	} else {
+		res = drive(tb, p)
+	}
+	// Snapshotting here is safe — the run is done and the arena is
+	// still exclusively ours — and the disabled path costs one atomic
+	// load and a nil check.
 	if s := obs.Default(); s != nil {
 		s.RunMetrics(tb.Registry.Snapshot())
 	}
@@ -309,90 +338,6 @@ func (p *Params) normalizeWindows() {
 		d := DefaultParams(1)
 		p.Warmup, p.Measure = d.Warmup, d.Measure
 	}
-}
-
-// RunInstrumented executes one scenario with pipeline telemetry enabled
-// at the given span-sampling rate and returns the measurement results
-// alongside the telemetry run (sampled spans + drop ledger), ready for
-// the internal/telemetry exporters. Sampling decisions come from an
-// engine-forked RNG, so the same Params and rate reproduce the same
-// spans byte for byte.
-func RunInstrumented(p Params, spanRate float64) (Results, *telemetry.Run, error) {
-	return RunInstrumentedOn(p, spanRate, nil)
-}
-
-// RunInstrumentedOn is RunInstrumented on a worker arena (nil arena
-// builds fresh substrate).
-func RunInstrumentedOn(p Params, spanRate float64, a *runner.Arena) (Results, *telemetry.Run, error) {
-	p.normalizeWindows()
-	tb, err := p.BuildOn(a)
-	if err != nil {
-		return Results{}, nil, err
-	}
-	run := tb.EnableSpans(spanRate)
-	res := tb.Run(p.Warmup, p.Measure)
-	return res, run, nil
-}
-
-// RunMany executes scenarios on the shared worker pool and returns
-// results in input order. Byte-identical Params are simulated once and
-// the result shared (the simulator is deterministic per seed, so this is
-// invisible in the output). The first build/run error aborts the sweep.
-func RunMany(ps []Params) ([]Results, error) {
-	return runMany(ps, nil)
-}
-
-// runMany is the shared sweep executor; cache may be nil. Without a
-// store, a batch-local singleflight still collapses duplicate Params
-// within the batch.
-func runMany(ps []Params, cache *runcache.Store) ([]Results, error) {
-	results := make([]Results, len(ps))
-	var flight *runcache.Flight
-	if cache == nil {
-		flight = runcache.NewFlight(true)
-	}
-	err := runner.Shared().Map(len(ps), func(i int, a *runner.Arena) error {
-		r, err := runCachedOn(ps[i], cache, flight, a)
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunEach executes scenarios on the shared worker pool and streams
-// results to emit in input order, without materializing the whole result
-// slice — the fleet-scale path where memory stays O(workers), not
-// O(scenarios). Duplicate Params are deduplicated exactly as in RunMany.
-// A non-nil emit error aborts the sweep and is returned.
-func RunEach(ps []Params, cache *runcache.Store, emit func(i int, r Results) error) error {
-	var flight *runcache.Flight
-	if cache == nil {
-		flight = runcache.NewFlight(true)
-	}
-	return runner.MapOrdered(runner.Shared(), len(ps),
-		func(i int, a *runner.Arena) (Results, error) {
-			return runCachedOn(ps[i], cache, flight, a)
-		}, emit)
-}
-
-// RunReplicated executes the scenario n times with derived seeds and
-// returns all results, for mean±CI reporting across seed noise.
-func RunReplicated(p Params, n int) ([]Results, error) {
-	if n < 1 {
-		n = 1
-	}
-	ps := make([]Params, n)
-	for i := range ps {
-		ps[i] = p
-		ps[i].Seed = p.Seed + uint64(i)*0x9e3779b97f4a7c15
-	}
-	return RunMany(ps)
 }
 
 // ModeledThroughput evaluates the paper's Little's-law bound for a

@@ -24,14 +24,14 @@ func TestParamsValidation(t *testing.T) {
 	for i, mutate := range bad {
 		p := quickParams(2)
 		mutate(&p)
-		if _, err := Run(p); err == nil {
+		if _, err := RunOn(p, nil); err == nil {
 			t.Errorf("case %d: invalid params accepted", i)
 		}
 	}
 }
 
 func TestRunBaseline(t *testing.T) {
-	res, err := Run(quickParams(4))
+	res, err := RunOn(quickParams(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCCVariants(t *testing.T) {
 		if cc == CCDCTCP {
 			p.FabricECNThresholdBytes = 70 << 10
 		}
-		res, err := Run(p)
+		res, err := RunOn(p, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", cc, err)
 		}
@@ -67,11 +67,11 @@ func TestIOMMUOffMatchesOrBeatsOn(t *testing.T) {
 	on.Senders = 40
 	off := on
 	off.IOMMU = false
-	ron, err := Run(on)
+	ron, err := RunOn(on, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	roff, err := Run(off)
+	roff, err := RunOn(off, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestIOMMUOffMatchesOrBeatsOn(t *testing.T) {
 func TestOfferedLoadCapsUtilization(t *testing.T) {
 	p := quickParams(4)
 	p.OfferedGbps = 20
-	res, err := Run(p)
+	res, err := RunOn(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestBurstDutyLowersUtilization(t *testing.T) {
 	p.Warmup, p.Measure = 6*sim.Millisecond, 10*sim.Millisecond
 	p.BurstDuty = 0.3
 	p.BurstPeriod = sim.Millisecond
-	res, err := Run(p)
+	res, err := RunOn(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(quickParams(4))
+	full, err := RunOn(quickParams(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBurstDutyLowersUtilization(t *testing.T) {
 
 func TestRunManyOrderAndParallel(t *testing.T) {
 	ps := []Params{quickParams(2), quickParams(4), quickParams(6)}
-	rs, err := RunMany(ps)
+	rs, err := runMany(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRunManyOrderAndParallel(t *testing.T) {
 			rs[0].AppThroughputGbps, rs[1].AppThroughputGbps, rs[2].AppThroughputGbps)
 	}
 	// And identical to serial runs (parallelism must not change results).
-	serial, err := Run(ps[1])
+	serial, err := RunOn(ps[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRunManyOrderAndParallel(t *testing.T) {
 func TestRunManyPropagatesError(t *testing.T) {
 	bad := quickParams(2)
 	bad.CC = "bogus"
-	if _, err := RunMany([]Params{quickParams(2), bad}); err == nil {
+	if _, err := runMany([]Params{quickParams(2), bad}); err == nil {
 		t.Error("sweep error not propagated")
 	}
 }
@@ -198,7 +198,7 @@ func TestExtensionKnobs(t *testing.T) {
 	for i, k := range knobs {
 		p := quickParams(4)
 		k(&p)
-		if _, err := Run(p); err != nil {
+		if _, err := RunOn(p, nil); err != nil {
 			t.Errorf("knob %d: %v", i, err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestModeledTracksSimulated(t *testing.T) {
 	for _, threads := range []int{12, 16} {
 		p := DefaultParams(threads)
 		p.Warmup, p.Measure = 15*sim.Millisecond, 20*sim.Millisecond
-		res, err := Run(p)
+		res, err := RunOn(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,4 +228,14 @@ func TestModeledTracksSimulated(t *testing.T) {
 				threads, bound.Gbps(), res.AppThroughputGbps, ratio)
 		}
 	}
+}
+
+// runMany collects RunEach's pure-DES stream into a slice.
+func runMany(ps []Params) ([]Results, error) {
+	rs := make([]Results, len(ps))
+	err := RunEach(nil, ps, nil, func(i int, r Results) error {
+		rs[i] = r
+		return nil
+	})
+	return rs, err
 }

@@ -53,7 +53,7 @@ func runGoldens(t *testing.T, label string) {
 	t.Helper()
 	for _, seed := range []uint64{1, 7} {
 		for _, name := range []string{"fig3", "fig6"} {
-			r, err := core.Run(goldenParams(name, seed))
+			r, err := core.RunOn(goldenParams(name, seed), nil)
 			if err != nil {
 				t.Fatalf("%s: %s seed=%d: %v", label, name, seed, err)
 			}
@@ -118,14 +118,14 @@ func TestCacheHitMatchesColdRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := goldenParams("fig6", 1)
-	cold, err := core.RunCached(p, store)
+	cold, err := core.RunVia(nil, p, store, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store.Misses() != 1 || store.Hits() != 0 {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0/1", store.Hits(), store.Misses())
 	}
-	warm, err := core.RunCached(p, store)
+	warm, err := core.RunVia(nil, p, store, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestCacheHitMatchesColdRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := core.RunCached(p, store2)
+	disk, err := core.RunVia(nil, p, store2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

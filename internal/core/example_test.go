@@ -14,7 +14,7 @@ import (
 // documentation rather than a golden test.)
 func Example() {
 	p := core.DefaultParams(12)
-	res, err := core.Run(p)
+	res, err := core.RunOn(p, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -22,21 +22,26 @@ func Example() {
 		res.AppThroughputGbps, res.DropRatePct, res.IOTLBMissesPerPacket)
 }
 
-// ExampleRunMany sweeps Figure 6's antagonist axis in parallel.
-func ExampleRunMany() {
+// ExampleRunEach sweeps Figure 6's antagonist axis in parallel on the
+// shared worker pool (nil executor: pure DES; nil cache: batch-local
+// dedup only), collecting the in-order stream into a slice.
+func ExampleRunEach() {
 	var ps []core.Params
 	for _, antag := range []int{0, 8, 15} {
 		p := core.DefaultParams(12)
 		p.AntagonistCores = antag
 		ps = append(ps, p)
 	}
-	rs, err := core.RunMany(ps)
+	rs := make([]core.Results, len(ps))
+	err := core.RunEach(nil, ps, nil, func(i int, r core.Results) error {
+		rs[i] = r
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for i, r := range rs {
 		fmt.Printf("antagonists=%d: %.1f Gbps\n", ps[i].AntagonistCores, r.AppThroughputGbps)
-		_ = i
 	}
 }
 

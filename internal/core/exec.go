@@ -9,6 +9,7 @@ import (
 	"hic/internal/obs"
 	"hic/internal/runcache"
 	"hic/internal/runner"
+	"hic/internal/sim"
 )
 
 // Executor routes one scenario to an execution strategy. The default
@@ -58,31 +59,34 @@ func (e *EarlyStop) Version() string {
 
 func (e *EarlyStop) Plan(p Params) (string, func(*runner.Arena) (Results, error), error) {
 	return e.Version(), func(a *runner.Arena) (Results, error) {
-		r, stopped, err := RunAdaptiveOn(p, a, e.Rule)
-		if stopped {
-			e.Stopped.Add(1)
-			if s := obs.Default(); s != nil {
-				s.Emit(obs.Event{Kind: obs.KindEarlyStop, Key: p.Canonical()})
-			}
-		}
-		return r, err
+		return Simulate(p, a, func(tb *host.Testbed, p Params) Results {
+			return e.Drive(tb, p, p.Warmup, nil)
+		})
 	}, nil
 }
 
-// RunAdaptiveOn is RunOn under a steady-state stopping rule; the
-// boolean reports whether the window was terminated early. The rule's
-// window is fitted to the scenario's measure (host.StopRule.Fit) so
-// short fleet windows still stop early; the fit is deterministic per
-// Params, so the EarlyStop version salt (which records the configured
-// rule) still uniquely describes each point's behavior.
-func RunAdaptiveOn(p Params, a *runner.Arena, rule host.StopRule) (Results, bool, error) {
-	p.normalizeWindows()
-	tb, err := p.BuildOn(a)
-	if err != nil {
-		return Results{}, false, err
+// Drive runs tb's warmup and measurement windows under the stopping
+// rule, fitted to p's measure (host.StopRule.Fit) so short fleet
+// windows still stop early; the fit is deterministic per Params, so the
+// version salt (which records the configured rule) still uniquely
+// describes each point's behavior. A run the rule terminated early
+// counts in Stopped and emits an early_stop event keyed by p to sink
+// (obs.Default() when nil). A nil EarlyStop runs the full windows.
+func (e *EarlyStop) Drive(tb *host.Testbed, p Params, warmup sim.Duration, sink obs.Sink) Results {
+	if e == nil {
+		return tb.Run(warmup, p.Measure)
 	}
-	r, stopped := tb.RunAdaptive(p.Warmup, p.Measure, rule.Fit(p.Measure))
-	return r, stopped, nil
+	res, stopped := tb.RunAdaptive(warmup, p.Measure, e.Rule.Fit(p.Measure))
+	if stopped {
+		e.Stopped.Add(1)
+		if sink == nil {
+			sink = obs.Default()
+		}
+		if sink != nil {
+			sink.Emit(obs.Event{Kind: obs.KindEarlyStop, Key: p.Canonical()})
+		}
+	}
+	return res
 }
 
 // FluidVersion salts cache entries produced by the fluid solver (via
@@ -129,15 +133,18 @@ func PlanVia(exec Executor, p Params) (string, func(*runner.Arena) (Results, err
 	return exec.Plan(p)
 }
 
-// runVia is runCachedOn with an executor deciding strategy and cache
-// salt per point. A nil executor is the pure-DES path, byte-identical
-// to the pre-fidelity funnel.
-func runVia(exec Executor, p Params, cache *runcache.Store, flight *runcache.Flight, a *runner.Arena) (Results, error) {
-	if exec == nil {
-		return runCachedOn(p, cache, flight, a)
-	}
+// RunVia executes one scenario through the executor (nil is pure DES)
+// on the arena a (nil builds fresh substrate). The windows are
+// normalized first, so the plan and the cache key see what actually
+// runs. A stored result for the plan's version is returned as-is;
+// otherwise the run is collapsed with concurrent duplicates — by the
+// store's own singleflight when cache is set, else by flight — and a
+// computed result is stored. With neither, the plan simply runs.
+// Collapsing keys on the plan's version, so a fluid-routed point can
+// never satisfy a DES-routed one.
+func RunVia(exec Executor, p Params, cache *runcache.Store, flight *runcache.Flight, a *runner.Arena) (Results, error) {
 	p.normalizeWindows()
-	version, run, err := exec.Plan(p)
+	version, run, err := PlanVia(exec, p)
 	if err != nil {
 		return Results{}, err
 	}
@@ -153,52 +160,21 @@ func runVia(exec Executor, p Params, cache *runcache.Store, flight *runcache.Fli
 	return flight.Do(key, compute)
 }
 
-// RunVia executes one scenario through the executor and (optional)
-// cache. A nil executor degrades to RunCached.
-func RunVia(exec Executor, p Params, cache *runcache.Store) (Results, error) {
-	return runVia(exec, p, cache, nil, nil)
-}
-
-// RunOnVia is RunVia on a caller-managed arena with an optional
-// batch-local singleflight — the building block streaming drivers
-// (internal/cluster) use to route points while keeping their own
-// dedup accounting. flight is consulted only when cache is nil.
-func RunOnVia(exec Executor, p Params, cache *runcache.Store, flight *runcache.Flight, a *runner.Arena) (Results, error) {
-	return runVia(exec, p, cache, flight, a)
-}
-
-// RunManyVia is RunMany with an executor routing each point. Results
-// come back in input order; duplicate Params still collapse to one
-// execution, but only within the same cache version (a fluid-routed
-// point can never satisfy a DES-routed one).
-func RunManyVia(exec Executor, ps []Params, cache *runcache.Store) ([]Results, error) {
-	results := make([]Results, len(ps))
-	var flight *runcache.Flight
-	if cache == nil {
-		flight = runcache.NewFlight(true)
-	}
-	err := runner.Shared().Map(len(ps), func(i int, a *runner.Arena) error {
-		r, err := runVia(exec, ps[i], cache, flight, a)
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunEachVia is RunEach with an executor routing each point.
-func RunEachVia(exec Executor, ps []Params, cache *runcache.Store, emit func(i int, r Results) error) error {
+// RunEach executes scenarios through the executor (nil is pure DES) on
+// the shared worker pool and streams results to emit in input order,
+// without materializing the whole result slice — memory stays
+// O(workers), not O(scenarios); callers that want a slice collect it in
+// emit. Duplicate Params collapse to one execution through the cache,
+// or through a batch-local singleflight without one. The first
+// build/run error, or a non-nil emit error, aborts the batch and is
+// returned.
+func RunEach(exec Executor, ps []Params, cache *runcache.Store, emit func(i int, r Results) error) error {
 	var flight *runcache.Flight
 	if cache == nil {
 		flight = runcache.NewFlight(true)
 	}
 	return runner.MapOrdered(runner.Shared(), len(ps),
 		func(i int, a *runner.Arena) (Results, error) {
-			return runVia(exec, ps[i], cache, flight, a)
+			return RunVia(exec, ps[i], cache, flight, a)
 		}, emit)
 }

@@ -24,7 +24,7 @@ func TestGoldenDeterminismViaDESRouter(t *testing.T) {
 	for _, seed := range []uint64{1, 7} {
 		for _, name := range []string{"fig3", "fig6"} {
 			p := goldenParams(name, seed)
-			r, err := core.RunVia(router, p, nil)
+			r, err := core.RunVia(router, p, nil, nil, nil)
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", name, seed, err)
 			}
@@ -70,14 +70,14 @@ func TestFluidAndDESNeverShareCacheEntry(t *testing.T) {
 	if runcache.Key(version, p.Canonical()) == p.CacheKey() {
 		t.Fatal("fluid version salt produced the pure-DES cache key")
 	}
-	if _, err := core.RunVia(router, p, store); err != nil {
+	if _, err := core.RunVia(router, p, store, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := store.Stats(); st.Misses != 1 {
 		t.Fatalf("fluid run: misses=%d, want 1", st.Misses)
 	}
 
-	des, err := core.RunCached(p, store)
+	des, err := core.RunVia(nil, p, store, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestWarmAndDESNeverShareCacheEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.RunVia(r1, p, nil); err != nil {
+	if _, err := core.RunVia(r1, p, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,7 +144,7 @@ func TestWarmAndDESNeverShareCacheEntry(t *testing.T) {
 	if runcache.Key(version, p2.Canonical()) == p2.CacheKey() {
 		t.Fatal("warm version salt produced the pure-DES cache key")
 	}
-	if _, err := core.RunVia(r2, p2, store); err != nil {
+	if _, err := core.RunVia(r2, p2, store, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := store.Stats(); st.Misses != 1 {
@@ -152,7 +152,7 @@ func TestWarmAndDESNeverShareCacheEntry(t *testing.T) {
 	}
 
 	// A pure-DES lookup of the same Params must not see the warm entry.
-	if _, err := core.RunCached(p2, store); err != nil {
+	if _, err := core.RunVia(nil, p2, store, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := store.Stats()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hic/internal/core"
+	"hic/internal/host"
 	"hic/internal/observatory"
 )
 
@@ -16,7 +17,13 @@ import (
 func TestObservatoryPassiveOnGoldens(t *testing.T) {
 	for _, seed := range []uint64{1, 7} {
 		for _, name := range []string{"fig3", "fig6"} {
-			r, rep, err := core.RunObserved(goldenParams(name, seed), observatory.DefaultConfig())
+			var rep *observatory.HostReport
+			r, err := core.Simulate(goldenParams(name, seed), nil, func(tb *host.Testbed, p core.Params) core.Results {
+				mon := observatory.Attach(tb, observatory.DefaultConfig())
+				res := tb.Run(p.Warmup, p.Measure)
+				rep = mon.Report()
+				return res
+			})
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", name, seed, err)
 			}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestPooledGoldenDeterminism is the worker-pool counterpart of
-// TestGoldenDeterminism: the golden scenarios run through RunMany —
+// TestGoldenDeterminism: the golden scenarios run through RunEach —
 // worker arenas, engine/registry reuse, batch-local singleflight — with
 // every scenario duplicated, twice back to back so the second batch
 // lands on arenas dirtied by the first. Every result, including the
@@ -32,7 +32,7 @@ func TestPooledGoldenDeterminism(t *testing.T) {
 		}
 	}
 	for pass := 0; pass < 2; pass++ {
-		rs, err := core.RunMany(ps)
+		rs, err := collect(ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,9 +45,10 @@ func TestPooledGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunEachMatchesRunMany proves the streaming path emits exactly the
-// RunMany results, in order.
-func TestRunEachMatchesRunMany(t *testing.T) {
+// TestRunEachMatchesSerialRuns proves the pooled stream emits exactly
+// the results of running each scenario alone on fresh substrate, in
+// input order.
+func TestRunEachMatchesSerialRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs take a few seconds")
 	}
@@ -56,15 +57,19 @@ func TestRunEachMatchesRunMany(t *testing.T) {
 		goldenParams("fig6", 1),
 		goldenParams("fig3", 1), // duplicate — exercises dedup in the stream
 	}
-	want, err := core.RunMany(ps)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]core.Results, len(ps))
+	for i, p := range ps {
+		r, err := core.RunOn(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
 	}
 	var gotIdx []int
-	err = core.RunEach(ps, nil, func(i int, r core.Results) error {
+	err := core.RunEach(nil, ps, nil, func(i int, r core.Results) error {
 		gotIdx = append(gotIdx, i)
 		if resultHash(r) != resultHash(want[i]) {
-			t.Errorf("streamed result %d diverges from RunMany", i)
+			t.Errorf("streamed result %d diverges from its serial run", i)
 		}
 		return nil
 	})
@@ -97,7 +102,7 @@ func TestRunManyCachedPooled(t *testing.T) {
 		goldenParams("fig3", 1),
 		goldenParams("fig3", 1),
 	}
-	rs, err := core.RunManyCached(ps, store)
+	rs, err := collect(ps, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +119,7 @@ func TestRunManyCachedPooled(t *testing.T) {
 		t.Errorf("cold batch hits+collapses = %d+%d, want 2", st.Hits, st.Collapses)
 	}
 
-	rs2, err := core.RunManyCached(ps, store)
+	rs2, err := collect(ps, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,4 +131,15 @@ func TestRunManyCachedPooled(t *testing.T) {
 	if after := store.Stats(); after.Misses != st.Misses {
 		t.Errorf("warm batch simulated: misses %d -> %d", st.Misses, after.Misses)
 	}
+}
+
+// collect runs ps as a pure-DES RunEach batch and gathers the in-order
+// stream into a slice.
+func collect(ps []core.Params, cache *runcache.Store) ([]core.Results, error) {
+	rs := make([]core.Results, len(ps))
+	err := core.RunEach(nil, ps, cache, func(i int, r core.Results) error {
+		rs[i] = r
+		return nil
+	})
+	return rs, err
 }

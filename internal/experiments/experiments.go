@@ -2,7 +2,7 @@
 // paper's evaluation (Figures 3–6; Figure 1 lives in internal/cluster
 // because it sweeps hosts, not parameters), plus the §4 "looking
 // forward" extensions as ablations. Every definition sweeps scenarios
-// through core.RunMany and renders a Table whose rows are the same
+// through core.RunEach and renders a Table whose rows are the same
 // series the paper plots.
 package experiments
 
@@ -41,22 +41,34 @@ type Options struct {
 	Exec core.Executor
 }
 
-// replicated runs p Replicates times and returns all results.
+// replicated runs p Replicates times, with seeds derived from p's, and
+// returns all results. Replicates always run pure DES (see Exec).
 func (o Options) replicated(p core.Params) ([]core.Results, error) {
 	n := o.Replicates
 	if n < 1 {
 		n = 1
 	}
-	return core.RunReplicatedCached(p, n, o.Cache)
+	ps := make([]core.Params, n)
+	for i := range ps {
+		ps[i] = p
+		ps[i].Seed = p.Seed + uint64(i)*0x9e3779b97f4a7c15
+	}
+	return Options{Cache: o.Cache}.runMany(ps)
 }
 
-// runMany sweeps the points through the options' cache (nil ⇒ plain
-// core.RunMany). Every figure definition funnels its grid through here.
+// runMany sweeps the points through the options' executor and cache
+// (both nil ⇒ plain pure DES), collecting core.RunEach's in-order
+// stream. Every figure definition funnels its grid through here.
 func (o Options) runMany(ps []core.Params) ([]core.Results, error) {
-	if o.Exec != nil {
-		return core.RunManyVia(o.Exec, ps, o.Cache)
+	rs := make([]core.Results, len(ps))
+	err := core.RunEach(o.Exec, ps, o.Cache, func(i int, r core.Results) error {
+		rs[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return core.RunManyCached(ps, o.Cache)
+	return rs, nil
 }
 
 // pull extracts one field across replicated results.

@@ -58,7 +58,7 @@ func ExtOnset(o Options) (*Table, error) {
 			p.BurstPeriod = sim.Millisecond
 			p.AntagonistCores = 12
 		}
-		res, err := core.Run(p)
+		res, err := core.RunOn(p, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -426,6 +426,20 @@ func (r *Router) emit(e obs.Event) {
 	}
 }
 
+// drive is the testbed drive for the router's cold DES runs: the full
+// windows, or early-stopped when EarlyStop is configured (counted, and
+// reported to the router's sink); with capture, the converged snapshot
+// is recorded as a warm-start donor.
+func (r *Router) drive(capture bool) func(*host.Testbed, core.Params) core.Results {
+	return func(tb *host.Testbed, p core.Params) core.Results {
+		res := r.estop.Drive(tb, p, p.Warmup, r.cfg.Sink)
+		if capture {
+			r.recordCkpt(p, tb.Snapshot())
+		}
+		return res
+	}
+}
+
 // emitRoute records one routing decision in the event log.
 func (r *Router) emitRoute(p core.Params, route, why string) {
 	s := r.cfg.Sink
@@ -479,41 +493,9 @@ func (r *Router) desPlan(p core.Params, why string) (string, func(*runner.Arena)
 	}
 	r.logf("fidelity: DES %s ant=%d%s", sigLabel(p), p.AntagonistCores, reason(why))
 	r.emitRoute(p, "des", why)
-	version := core.SimVersion
-	var run func(*runner.Arena) (core.Results, error)
-	switch {
-	case r.warmFullOn() && r.estop != nil:
-		version = r.estop.Version()
-		run = func(a *runner.Arena) (core.Results, error) {
-			res, snap, stopped, err := core.RunAdaptiveAndSnapshotOn(p, a, r.estop.Rule)
-			if err != nil {
-				return core.Results{}, err
-			}
-			if stopped {
-				r.estop.Stopped.Add(1)
-				r.emit(obs.Event{Kind: obs.KindEarlyStop, Key: p.Canonical()})
-			}
-			r.recordCkpt(p, snap)
-			return res, nil
-		}
-	case r.warmFullOn():
-		run = func(a *runner.Arena) (core.Results, error) {
-			res, snap, err := core.RunAndSnapshotOn(p, a)
-			if err != nil {
-				return core.Results{}, err
-			}
-			r.recordCkpt(p, snap)
-			return res, nil
-		}
-	case r.estop != nil:
-		var err error
-		version, run, err = r.estop.Plan(p)
-		if err != nil {
-			return "", nil, err
-		}
-	default:
-		run = func(a *runner.Arena) (core.Results, error) { return core.RunOn(p, a) }
-	}
+	version := r.desVersion()
+	drive := r.drive(r.warmFullOn())
+	run := func(a *runner.Arena) (core.Results, error) { return core.Simulate(p, a, drive) }
 	if r.cfg.Cache != nil {
 		// The outer funnel resolves through the cache (whose store has
 		// its own singleflight on the same key), so no extra layer here.
@@ -540,11 +522,7 @@ func (r *Router) desPlanAuto(p core.Params, why string) (string, func(*runner.Ar
 	if des, hit := r.memoizedAnchor(p); hit {
 		r.logf("fidelity: anchor-reuse %s ant=%d%s", sigLabel(p), p.AntagonistCores, reason(why))
 		r.emitRoute(p, "anchor-reuse", why)
-		version := core.SimVersion
-		if r.estop != nil {
-			version = r.estop.Version()
-		}
-		return version, func(*runner.Arena) (core.Results, error) {
+		return r.desVersion(), func(*runner.Arena) (core.Results, error) {
 			r.anchorReused.Add(1)
 			return des, nil
 		}, nil
@@ -626,11 +604,7 @@ func (r *Router) autoPlan(p core.Params) (string, func(*runner.Arena) (core.Resu
 		}
 		r.logf("fidelity: anchor-reuse %s ant=%d", sigLabel(p), p.AntagonistCores)
 		r.emitRoute(p, "anchor-reuse", "")
-		version := core.SimVersion
-		if r.estop != nil {
-			version = r.estop.Version()
-		}
-		return version, func(*runner.Arena) (core.Results, error) {
+		return r.desVersion(), func(*runner.Arena) (core.Results, error) {
 			r.anchorReused.Add(1)
 			return des, nil
 		}, nil

@@ -87,16 +87,16 @@ func TestModeDESMatchesPlainRun(t *testing.T) {
 	if version != core.SimVersion {
 		t.Fatalf("ModeDES version = %q, want %q", version, core.SimVersion)
 	}
-	got, err := core.RunVia(r, p, nil)
+	got, err := core.RunVia(r, p, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Run(p)
+	want, err := core.RunOn(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ModeDES result differs from core.Run:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("ModeDES result differs from core.RunOn:\n got %+v\nwant %+v", got, want)
 	}
 	c := r.Counters()
 	if c.DESRouted != 1 || c.FluidRouted != 0 {
@@ -119,7 +119,7 @@ func TestAutoWithinTolerance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		des, err := core.Run(p)
+		des, err := core.RunOn(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestAuditDeterministicAndAuthoritative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Run(p)
+	want, err := core.RunOn(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,7 +251,7 @@ func (r *Router) warmPlan(p core.Params, why string) (version string, run func(*
 			if err != nil {
 				return core.Results{}, err
 			}
-			warm, werr := core.RunWarmOn(p, donor.Snap, guard, a)
+			warm, werr := core.Simulate(p, a, warmDrive(nil, donor.Snap, guard, nil))
 			if werr != nil {
 				r.logf("fidelity: warm-audit shadow failed: %v", werr)
 				return des, nil
@@ -293,16 +293,9 @@ func (r *Router) warmPlan(p core.Params, why string) (version string, run func(*
 			Point: p.AntagonistCores,
 			Why:   fmt.Sprintf("donor %d:%d", donor.Ant, donor.Seed),
 		})
-		if r.estop != nil {
-			res, _, stopped, err := core.RunWarmAdaptiveOn(p, donor.Snap, guard, a, r.estop.Rule)
-			if stopped {
-				r.estop.Stopped.Add(1)
-			}
-			return res, err
-		}
-		return core.RunWarmOn(p, donor.Snap, guard, a)
+		return core.Simulate(p, a, warmDrive(r.estop, donor.Snap, guard, r.cfg.Sink))
 	}
-	return version, r.funnelCounted(version, canonical, warmRun), true, nil
+	return version, r.funnel(version, canonical, warmRun), true, nil
 }
 
 // runColdCaptured executes authoritative cold DES for p (early-stopped
@@ -310,23 +303,17 @@ func (r *Router) warmPlan(p core.Params, why string) (version string, run func(*
 // counter accounting as a plain DES route.
 func (r *Router) runColdCaptured(p core.Params, a *runner.Arena) (core.Results, error) {
 	r.desRouted.Add(1)
-	if r.estop != nil {
-		res, snap, stopped, err := core.RunAdaptiveAndSnapshotOn(p, a, r.estop.Rule)
-		if err != nil {
-			return core.Results{}, err
-		}
-		if stopped {
-			r.estop.Stopped.Add(1)
-		}
-		r.recordCkpt(p, snap)
-		return res, nil
+	return core.Simulate(p, a, r.drive(true))
+}
+
+// warmDrive primes a freshly built testbed with the donor snapshot and
+// replays the guard window in place of the full warmup, early-stopped
+// under e when non-nil.
+func warmDrive(e *core.EarlyStop, snap host.Snapshot, guard sim.Duration, sink obs.Sink) func(*host.Testbed, core.Params) core.Results {
+	return func(tb *host.Testbed, p core.Params) core.Results {
+		tb.Prime(snap)
+		return e.Drive(tb, p, guard, sink)
 	}
-	res, snap, err := core.RunAndSnapshotOn(p, a)
-	if err != nil {
-		return core.Results{}, err
-	}
-	r.recordCkpt(p, snap)
-	return res, nil
 }
 
 // funnel wraps run in the router's singleflight when no result cache is
@@ -340,11 +327,4 @@ func (r *Router) funnel(version, canonical string, run func(*runner.Arena) (core
 	return func(a *runner.Arena) (core.Results, error) {
 		return r.flight.Do(key, func() (core.Results, error) { return run(a) })
 	}
-}
-
-// funnelCounted is funnel for runs that do their own counting inside
-// the closure — identical today, but kept separate so the counting
-// contract at each call site is explicit.
-func (r *Router) funnelCounted(version, canonical string, run func(*runner.Arena) (core.Results, error)) func(*runner.Arena) (core.Results, error) {
-	return r.funnel(version, canonical, run)
 }

@@ -233,7 +233,7 @@ func TestWarmStartRoundTripAndSalt(t *testing.T) {
 	if c := r2.Counters(); c.WarmStarted != 1 {
 		t.Fatalf("counters = %+v, want 1 warm start", c)
 	}
-	des2, err := core.Run(p2)
+	des2, err := core.RunOn(p2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestFluidVsDESDiagnostic(t *testing.T) {
 			t.Errorf("threads=%d ant=%d: fixed point did not converge in %d iterations",
 				p.Threads, p.AntagonistCores, pred.Iterations)
 		}
-		des, err := core.Run(p)
+		des, err := core.RunOn(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,10 +6,23 @@ import (
 	"testing"
 
 	"hic/internal/core"
+	"hic/internal/host"
 	"hic/internal/observatory"
 	"hic/internal/sim"
 	"hic/internal/telemetry"
 )
+
+// observed runs p with the observatory attached over the full windows.
+func observed(p core.Params, ocfg observatory.Config) (core.Results, *observatory.HostReport, error) {
+	var rep *observatory.HostReport
+	res, err := core.Simulate(p, nil, func(tb *host.Testbed, p core.Params) core.Results {
+		mon := observatory.Attach(tb, ocfg)
+		res := tb.Run(p.Warmup, p.Measure)
+		rep = mon.Report()
+		return res
+	})
+	return res, rep, err
+}
 
 // fig6Params is the paper's Figure 6 memory-antagonist point with short
 // windows (the same scenario the core golden-hash tests pin).
@@ -25,7 +38,7 @@ func TestMonitorRingWrap(t *testing.T) {
 	p := core.DefaultParams(8)
 	p.Warmup, p.Measure = 1*sim.Millisecond, 3*sim.Millisecond
 	ocfg := observatory.Config{RingCap: 16}
-	_, rep, err := core.RunObserved(p, ocfg)
+	_, rep, err := observed(p, ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +59,7 @@ func TestMonitorRingWrap(t *testing.T) {
 
 func TestObservedDeterministic(t *testing.T) {
 	run := func() *observatory.HostReport {
-		_, rep, err := core.RunObserved(fig6Params(1), observatory.DefaultConfig())
+		_, rep, err := observed(fig6Params(1), observatory.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +78,11 @@ func TestObservedDeterministic(t *testing.T) {
 func TestFig6AttributionMatchesLedger(t *testing.T) {
 	p := fig6Params(1)
 
-	_, run, err := core.RunInstrumented(p, 0.01)
+	var run *telemetry.Run
+	_, err := core.Simulate(p, nil, func(tb *host.Testbed, p core.Params) core.Results {
+		run = tb.EnableSpans(0.01)
+		return tb.Run(p.Warmup, p.Measure)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +94,7 @@ func TestFig6AttributionMatchesLedger(t *testing.T) {
 		t.Errorf("drop ledger memory-bus share = %.2f, want >= 0.9", ledgerShare)
 	}
 
-	_, rep, err := core.RunObserved(p, observatory.DefaultConfig())
+	_, rep, err := observed(p, observatory.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +164,7 @@ func TestDefaultConfigDefaults(t *testing.T) {
 func TestWriteTimeline(t *testing.T) {
 	p := core.DefaultParams(8)
 	p.Warmup, p.Measure = 1*sim.Millisecond, 2*sim.Millisecond
-	_, rep, err := core.RunObserved(p, observatory.Config{})
+	_, rep, err := observed(p, observatory.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

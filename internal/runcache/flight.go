@@ -21,7 +21,7 @@ import (
 //   - memo (optional): completed results are kept in-process so later
 //     duplicates skip simulation entirely. Callers fronted by a Store
 //     disable the memo — the store's write-through memory layer already
-//     provides it — while store-less callers (plain RunMany, fleet runs
+//     provides it — while store-less callers (plain core.RunEach, fleet runs
 //     without -cache) enable it. Memo size is O(distinct keys), which
 //     for fleet workloads is the archetype-catalog size, not the host
 //     count.

@@ -13,6 +13,7 @@ import (
 
 	"hic/internal/asciiplot"
 	"hic/internal/core"
+	"hic/internal/host"
 	"hic/internal/obs"
 	"hic/internal/observatory"
 	"hic/internal/runcache"
@@ -95,20 +96,20 @@ func (s Spec) Validate() error {
 }
 
 // Row is one sweep point's coordinates and measurements. Telemetry is
-// non-nil only for RunDetailed sweeps; Incidents only for RunObserved
-// sweeps.
+// non-nil only for Telemetry-probed sweeps; Incidents only for
+// Observatory-probed sweeps.
 type Row struct {
 	Coords    []float64
 	Results   core.Results
 	Telemetry *telemetry.Summary
-	// TelemetrySkippedFluid marks a detailed-sweep point that was
+	// TelemetrySkippedFluid marks a probed-sweep point that was
 	// fluid-routed by the executor: the analytical solver has no packet
 	// path, so there are no spans to record and Telemetry is nil. The
 	// JSONL exporter skips these rows and reports the count instead of
 	// emitting empty span records.
 	TelemetrySkippedFluid bool
 	// Incidents is the sim-time observatory report for this grid point
-	// (RunObserved sweeps only): the congestion episodes the host
+	// (Observatory-probed sweeps only): the congestion episodes the host
 	// experienced, with root-cause attribution.
 	Incidents *observatory.HostReport
 }
@@ -144,134 +145,110 @@ func points(spec Spec) ([][]float64, []core.Params) {
 	return coords, ps
 }
 
-// Run executes the cross product. Points run in parallel via
-// core.RunMany; rows come back in axis order (last axis fastest).
-func Run(spec Spec) ([]Row, error) {
-	return RunCached(spec, nil)
-}
-
-// RunCached is Run with a content-addressed result cache: grid points
-// whose Params were simulated before (same SimVersion) replay from the
-// store, so editing one axis of a big sweep recomputes only the new
-// points. A nil cache degrades to Run.
-func RunCached(spec Spec, cache *runcache.Store) ([]Row, error) {
+// Run executes the cross product through the executor (nil is pure
+// DES) and the optional result cache: points run in parallel on the
+// shared worker pool, grid points simulated before (same cache version)
+// replay from the store, and rows come back in axis order (last axis
+// fastest). The sweep registers one progress run with the obs control
+// plane.
+func Run(spec Spec, exec core.Executor, cache *runcache.Store) ([]Row, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	coords, ps := points(spec)
-	rs, err := core.RunManyCached(ps, cache)
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]Row, len(coords))
-	for i := range coords {
-		rows[i] = Row{Coords: coords[i], Results: rs[i]}
-	}
-	return rows, nil
-}
-
-// RunCachedVia is RunCached with an executor routing each grid point
-// (see core.Executor and internal/fidelity). A nil executor degrades to
-// RunCached.
-func RunCachedVia(spec Spec, exec core.Executor, cache *runcache.Store) ([]Row, error) {
-	if exec == nil {
-		return RunCached(spec, cache)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	coords, ps := points(spec)
-	rs, err := core.RunManyVia(exec, ps, cache)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Row, len(coords))
-	for i := range coords {
-		rows[i] = Row{Coords: coords[i], Results: rs[i]}
-	}
-	return rows, nil
-}
-
-// RunStream executes the cross product and hands each Row to emit in
-// axis order (last axis fastest) without holding the full row slice —
-// the path hicsweep uses to write CSV/JSONL with memory bounded by the
-// worker count rather than the grid size. A non-nil emit error aborts
-// the sweep.
-func RunStream(spec Spec, cache *runcache.Store, emit func(Row) error) error {
-	return RunStreamVia(spec, nil, cache, emit)
-}
-
-// RunStreamVia is RunStream with an executor routing each grid point
-// (see core.Executor and internal/fidelity). A nil executor is
-// byte-identical to RunStream.
-func RunStreamVia(spec Spec, exec core.Executor, cache *runcache.Store, emit func(Row) error) error {
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	coords, ps := points(spec)
-	var orun *obs.Run // nil-safe
-	if s := obs.Default(); s != nil {
-		orun = s.StartRun("sweep", int64(len(ps)))
-		defer orun.Finish()
-	}
-	return core.RunEachVia(exec, ps, cache, func(i int, r core.Results) error {
+	orun := startRun("sweep", len(ps))
+	defer orun.Finish()
+	err := core.RunEach(exec, ps, cache, func(i int, r core.Results) error {
 		orun.Advance(1)
-		return emit(Row{Coords: coords[i], Results: r})
+		rows[i] = Row{Coords: coords[i], Results: r}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
-// RunDetailed is Run with per-point pipeline telemetry: every grid point
-// executes with span sampling at spanRate and its Row carries the
-// telemetry summary (per-stage latency breakdown + drop attribution).
-// Points run on the shared worker pool like Run; each point's spans stay
-// deterministic because sampling draws from that point's own
-// engine-forked RNG.
-func RunDetailed(spec Spec, spanRate float64) ([]Row, error) {
-	return RunDetailedVia(spec, nil, spanRate)
+// Probe instruments every grid point of a RunProbed sweep: it attaches
+// to the point's freshly built testbed, drives the run, and records
+// what it observed on the point's row.
+type Probe struct {
+	label string
+	drive func(tb *host.Testbed, p core.Params, row *Row) core.Results
 }
 
-// RunDetailedVia is RunDetailed with an executor routing each grid
-// point. Points the executor routes to the fluid solver carry no span
-// telemetry — the analytical model has no packet path to instrument —
-// so their rows return the fluid result with TelemetrySkippedFluid set
-// and a nil Telemetry, instead of silently emitting empty span records.
-// DES-routed points (including ones an early-stop rule would truncate)
-// run full-window instrumented DES: telemetry sweeps exist to inspect
-// the packet path, so the measurement window is never cut short here.
-// A nil executor instruments every point.
-func RunDetailedVia(spec Spec, exec core.Executor, spanRate float64) ([]Row, error) {
+// Telemetry probes each point with pipeline span sampling at spanRate;
+// its Row carries the telemetry summary (per-stage latency breakdown +
+// drop attribution). Spans stay deterministic per point because
+// sampling draws from that point's own engine-forked RNG.
+func Telemetry(spanRate float64) Probe {
+	return Probe{"sweep-telemetry", func(tb *host.Testbed, p core.Params, row *Row) core.Results {
+		run := tb.EnableSpans(spanRate)
+		res := tb.Run(p.Warmup, p.Measure)
+		s := run.Summary()
+		row.Telemetry = &s
+		return res
+	}}
+}
+
+// Observatory probes each point with the sim-time observatory; its Row
+// carries the incident report — congestion episodes with peak severity,
+// drop counts, and root-cause attribution. Sampling is passive, so
+// Results are bit-identical to an unprobed run's.
+func Observatory(ocfg observatory.Config) Probe {
+	return Probe{"sweep-observatory", func(tb *host.Testbed, p core.Params, row *Row) core.Results {
+		mon := observatory.Attach(tb, ocfg)
+		res := tb.Run(p.Warmup, p.Measure)
+		row.Incidents = mon.Report()
+		return res
+	}}
+}
+
+// RunProbed executes the cross product with probe attached to every
+// DES point. Probes watch the simulated packet path, which the run
+// cache does not store, so every point simulates, over its full window
+// (a probed sweep exists to inspect the packet path, so an early-stop
+// rule never cuts it short). A non-nil executor only decides which
+// points the fluid solver serves: those have no packet path to probe,
+// so their rows carry the fluid result with TelemetrySkippedFluid set.
+// Incident episodes carry the grid-point index in their host field.
+// The sweep registers one progress run with the obs control plane.
+func RunProbed(spec Spec, exec core.Executor, probe Probe) ([]Row, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	coords, ps := points(spec)
 	rows := make([]Row, len(coords))
-	var orun *obs.Run // nil-safe
-	if s := obs.Default(); s != nil {
-		orun = s.StartRun("sweep-telemetry", int64(len(ps)))
-		defer orun.Finish()
-	}
+	orun := startRun(probe.label, len(ps))
+	defer orun.Finish()
 	err := runner.Shared().Map(len(ps), func(i int, a *runner.Arena) error {
 		defer orun.Advance(1)
+		row := &rows[i]
+		row.Coords = coords[i]
 		if exec != nil {
 			version, run, err := core.PlanVia(exec, ps[i])
 			if err != nil {
 				return err
 			}
 			if strings.HasPrefix(version, core.FluidVersion) {
-				res, err := run(a)
-				if err != nil {
-					return err
-				}
-				rows[i] = Row{Coords: coords[i], Results: res, TelemetrySkippedFluid: true}
-				return nil
+				row.Results, err = run(a)
+				row.TelemetrySkippedFluid = true
+				return err
 			}
 		}
-		res, run, err := core.RunInstrumentedOn(ps[i], spanRate, a)
+		res, err := core.Simulate(ps[i], a, func(tb *host.Testbed, p core.Params) core.Results {
+			return probe.drive(tb, p, row)
+		})
 		if err != nil {
 			return err
 		}
-		s := run.Summary()
-		rows[i] = Row{Coords: coords[i], Results: res, Telemetry: &s}
+		row.Results = res
+		if row.Incidents != nil {
+			for j := range row.Incidents.Episodes {
+				row.Incidents.Episodes[j].Host = i
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -280,39 +257,14 @@ func RunDetailedVia(spec Spec, exec core.Executor, spanRate float64) ([]Row, err
 	return rows, nil
 }
 
-// RunObserved is Run with the sim-time observatory attached to every
-// grid point: each point executes full DES (the observatory watches the
-// simulated datapath, which the fluid solver and the run cache cannot
-// reproduce) and its Row carries the incident report — congestion
-// episodes with peak severity, drop counts, and root-cause attribution.
-// Sampling is passive, so Results are bit-identical to Run's.
-func RunObserved(spec Spec, ocfg observatory.Config) ([]Row, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	coords, ps := points(spec)
-	rows := make([]Row, len(coords))
-	var orun *obs.Run // nil-safe
+// startRun registers a sweep of n points with the obs control plane's
+// progress registry; without a sink it returns a nil run, whose methods
+// no-op.
+func startRun(label string, n int) *obs.Run {
 	if s := obs.Default(); s != nil {
-		orun = s.StartRun("sweep-observatory", int64(len(ps)))
-		defer orun.Finish()
+		return s.StartRun(label, int64(n))
 	}
-	err := runner.Shared().Map(len(ps), func(i int, a *runner.Arena) error {
-		defer orun.Advance(1)
-		res, rep, err := core.RunObservedOn(ps[i], ocfg, a)
-		if err != nil {
-			return err
-		}
-		for j := range rep.Episodes {
-			rep.Episodes[j].Host = i
-		}
-		rows[i] = Row{Coords: coords[i], Results: res, Incidents: rep}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return nil
 }
 
 // IncidentsJSONL renders one JSON object per observed sweep point: the

@@ -2,10 +2,12 @@ package sweep
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
 	"hic/internal/core"
+	"hic/internal/obs"
 	"hic/internal/observatory"
 	"hic/internal/runner"
 	"hic/internal/sim"
@@ -66,7 +68,7 @@ func TestRunCrossProductOrder(t *testing.T) {
 			{Param: "iommu", Values: []float64{1, 0}},
 		},
 	}
-	rows, err := Run(spec)
+	rows, err := Run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestCSVAndTable(t *testing.T) {
 		Base: quickBase(),
 		Axes: []Axis{{Param: "threads", Values: []float64{2}}},
 	}
-	rows, err := Run(spec)
+	rows, err := Run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestEveryKnownParamApplies(t *testing.T) {
 		}
 		p := quickBase()
 		knownParams[name](&p, v)
-		if _, err := core.Run(p); err != nil {
+		if _, err := core.RunOn(p, nil); err != nil {
 			t.Errorf("param %q with value %v: %v", name, v, err)
 		}
 	}
@@ -142,7 +144,7 @@ func TestRunDetailedTelemetry(t *testing.T) {
 		Base: quickBase(),
 		Axes: []Axis{{Param: "antagonists", Values: []float64{0, 8}}},
 	}
-	rows, err := RunDetailed(spec, 0.05)
+	rows, err := RunProbed(spec, nil, Telemetry(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestRunLeavesTelemetryNil(t *testing.T) {
 		Base: quickBase(),
 		Axes: []Axis{{Param: "threads", Values: []float64{2}}},
 	}
-	rows, err := Run(spec)
+	rows, err := Run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +209,7 @@ func TestRunLeavesTelemetryNil(t *testing.T) {
 
 // fluidForZeroAntagonists routes antagonist-free points to a fake fluid
 // plan (FluidVersion-salted, canned results) and everything else to
-// pure DES — the shape RunDetailedVia must recognize and skip.
+// pure DES — the shape RunProbed must recognize and skip.
 type fluidForZeroAntagonists struct{}
 
 func (fluidForZeroAntagonists) Plan(p core.Params) (string, func(*runner.Arena) (core.Results, error), error) {
@@ -224,7 +226,7 @@ func TestRunDetailedViaSkipsFluidTelemetry(t *testing.T) {
 		Base: quickBase(),
 		Axes: []Axis{{Param: "antagonists", Values: []float64{0, 4}}},
 	}
-	rows, err := RunDetailedVia(spec, fluidForZeroAntagonists{}, 1.0)
+	rows, err := RunProbed(spec, fluidForZeroAntagonists{}, Telemetry(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +283,7 @@ func TestRunDetailedNoExecUnchanged(t *testing.T) {
 		Base: quickBase(),
 		Axes: []Axis{{Param: "antagonists", Values: []float64{0}}},
 	}
-	rows, err := RunDetailedVia(spec, nil, 1.0)
+	rows, err := RunProbed(spec, nil, Telemetry(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +300,11 @@ func TestRunObservedAndIncidentsJSONL(t *testing.T) {
 	spec := Spec{Base: quickBase(), Axes: []Axis{
 		{Param: "antagonists", Values: []float64{0, 8}},
 	}}
-	plain, err := Run(spec)
+	plain, err := Run(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunObserved(spec, observatory.DefaultConfig())
+	rows, err := RunProbed(spec, nil, Observatory(observatory.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,6 +342,42 @@ func TestRunObservedAndIncidentsJSONL(t *testing.T) {
 			if _, ok := obj[k]; !ok {
 				t.Errorf("line %d missing %q: %s", i, k, l)
 			}
+		}
+	}
+}
+
+// TestSweepRegistersProgress: every sweep mode — plain, routed,
+// telemetry-probed and observatory-probed — registers one progress run
+// with the obs control plane, finished with every grid point done.
+func TestSweepRegistersProgress(t *testing.T) {
+	srv := obs.NewServer(obs.Options{Warn: io.Discard})
+	obs.Set(srv)
+	defer obs.Set(nil)
+
+	spec := Spec{
+		Base: quickBase(),
+		Axes: []Axis{{Param: "antagonists", Values: []float64{0, 4}}},
+	}
+	if _, err := Run(spec, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(spec, fluidForZeroAntagonists{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunProbed(spec, fluidForZeroAntagonists{}, Telemetry(0.01)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunProbed(spec, nil, Observatory(observatory.DefaultConfig())); err != nil {
+		t.Fatal(err)
+	}
+	runs := srv.Tracker().Snapshot()
+	if len(runs) != 4 {
+		t.Fatalf("%d progress runs registered, want 4: %+v", len(runs), runs)
+	}
+	for _, r := range runs {
+		if !r.Finished || r.Total != 2 || r.Done != 2 {
+			t.Errorf("run %s: finished=%v done=%d total=%d, want finished with 2/2",
+				r.Run, r.Finished, r.Done, r.Total)
 		}
 	}
 }
