@@ -31,9 +31,12 @@ check: check-tests bench-compare bench-warm bench-serve bench-cold
 # the allocation-free hot-path, disabled-observatory, and
 # disabled-query-trace properties are enforced by name under the plain
 # runtime, and a 1x smoke pass over the engine benchmarks so a compile
-# break in the hot-path benches fails CI.
+# break in the hot-path benches fails CI. bench/ is its own module, so
+# the root `./...` never compiles it; vetting it catches a change to an
+# API the benchmark calls.
 check-tests:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 	$(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=2 ./internal/runner/ ./internal/runcache/ ./internal/observatory/
 	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/sim/ ./internal/pkt/
@@ -104,9 +107,9 @@ trace-demo:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-json runs the hot-path comparison harness (current engine vs the
-# preserved pre-rewrite engine, pooled vs heap packet path, the Figure 6
-# scenario end to end, the fleet execution bench, the multi-fidelity
+# bench-json runs the hot-path harness (the event engine microbenchmark,
+# pooled vs heap packet path, the Figure 6 scenario end to end, the
+# observatory overhead, the fleet execution bench, the multi-fidelity
 # section: fluid vs DES per-point cost plus the -fidelity=auto fleet
 # against the pure-DES fleet, the warm-start section: the same
 # auto fleet cold then warm against one persistent calibration and

@@ -11,7 +11,6 @@ import (
 	"hic/internal/cluster"
 	"hic/internal/fidelity"
 	"hic/internal/runcache"
-	"hic/internal/runner"
 	"hic/internal/serve"
 )
 
@@ -96,12 +95,7 @@ func runColdFleet(label string, hosts int, tol, auditRate float64, accel bool) (
 		return cluster.Stats{}, 0, err
 	}
 	cfg.Exec = router
-	cfg.Progress = runner.NewProgress(os.Stderr, label, "hosts", hosts, 5*time.Second)
-	start := time.Now()
-	st, err := cluster.RunStream(cfg, nil)
-	wall := time.Since(start).Seconds()
-	cfg.Progress.Finish()
-	return st, wall, err
+	return runSection(cfg, label)
 }
 
 // coldQuery serves the accelerated query cold through a fresh

@@ -1,17 +1,20 @@
-// Command hicbench measures the simulator's hot path and writes the
-// results as JSON, comparing the current engine against the preserved
-// pre-rewrite implementation (internal/sim/legacy).
+// Command hicbench measures the simulator's hot path and execution
+// layers and writes the results as JSON, or gates a new report against
+// a committed baseline with -compare.
 //
 //	hicbench                       # print BENCH_hotpath.json content
 //	hicbench -out BENCH_hotpath.json
 //
-// Four sections:
-//   - engine: schedule→fire and heap-churn microbenchmarks on both
-//     engines, with events/sec and the measured speedup ratio;
+// Nine sections:
+//   - engine: the schedule→fire and heap-churn microbenchmark on the
+//     event engine, with events/sec and its (zero) allocation profile;
 //   - packet_path: one full pooled packet lifetime vs heap allocation;
-//   - fig6_scenario: the paper's Figure 6 memory-antagonist point run
-//     end to end, reporting wall-clock and simulated events/sec (the
-//     whole-simulator number the microbenchmarks feed into);
+//   - fig6_scenario (and fig6_scenario_no_pools): the paper's Figure 6
+//     memory-antagonist point run end to end, reporting wall-clock and
+//     simulated events/sec (the whole-simulator number the
+//     microbenchmarks feed into), with and without the free lists;
+//   - observatory: the same point with the sim-time observatory
+//     sampling, as an overhead percentage;
 //   - fleet: a Figure 1 fleet on the pooled worker runner with
 //     singleflight dedup, reporting hosts/sec, dedup rate, and peak
 //     memory;
@@ -20,6 +23,9 @@
 //     -fidelity=auto routing (calibrated fluid + early stopping +
 //     audit), reporting hosts/sec, the routing counters, and the
 //     speedup over the pure-DES fleet section above;
+//   - cold_path: the never-seen auto fleet with knee search and
+//     calibration transfer off then on, plus the sharded determinism
+//     check;
 //   - warm_start: the cross-run warm start — the auto-routed fleet run
 //     cold then warm against one persistent store (anchors reloaded,
 //     DES points resumed from checkpoints), plus one warm-resumed
@@ -51,7 +57,6 @@ import (
 	"hic/internal/runcache"
 	"hic/internal/runner"
 	"hic/internal/sim"
-	"hic/internal/sim/legacy"
 )
 
 // benchResult is one benchmark's headline numbers.
@@ -77,11 +82,11 @@ func toResult(r testing.BenchmarkResult, perOpEvents float64) benchResult {
 
 const churnDepth = 256
 
-// engineWorkload drives a fig6-like event mix against either engine:
+// engineWorkload drives a fig6-like event mix through the engine:
 // self-rescheduling events (DMA completion chains) at churn depth, plus
 // a cancelled timer per fire (the retransmit timer armed and disarmed
 // on every delivered packet).
-func newEngineWorkload(b *testing.B) {
+func engineWorkload(b *testing.B) {
 	e := sim.NewEngine(1)
 	target := uint64(b.N) + churnDepth
 	var pendingTimer sim.EventID
@@ -98,29 +103,6 @@ func newEngineWorkload(b *testing.B) {
 	}
 	for i := 0; i < churnDepth; i++ {
 		e.After(sim.Duration(1+e.RNG().Intn(997)), tick)
-	}
-	b.ResetTimer()
-	e.Run(math.MaxInt64 - 1)
-}
-
-func legacyEngineWorkload(b *testing.B) {
-	e := legacy.NewEngine()
-	rng := sim.NewRNG(1)
-	target := uint64(b.N) + churnDepth
-	var pendingTimer legacy.EventID
-	var tick func()
-	timerFn := func() {}
-	tick = func() {
-		if e.Processed() >= target {
-			e.Stop()
-			return
-		}
-		pendingTimer.Cancel()
-		pendingTimer = e.After(sim.Duration(5000), timerFn)
-		e.After(sim.Duration(1+rng.Intn(997)), tick)
-	}
-	for i := 0; i < churnDepth; i++ {
-		e.After(sim.Duration(1+rng.Intn(997)), tick)
 	}
 	b.ResetTimer()
 	e.Run(math.MaxInt64 - 1)
@@ -279,16 +261,23 @@ func fleetConfig(hosts int) cluster.Config {
 	return cfg
 }
 
+// runSection runs one fleet section's fleet with its progress on
+// stderr every five seconds, returning the stats and wall seconds.
+func runSection(cfg cluster.Config, label string) (cluster.Stats, float64, error) {
+	lines := obs.NewLines(os.Stderr, obs.Default(), label, "hosts", 5*time.Second, nil)
+	cfg.Sink = lines
+	defer lines.Stop()
+	start := time.Now()
+	st, err := cluster.RunStream(cfg, nil)
+	return st, time.Since(start).Seconds(), err
+}
+
 func runFleet(hosts int) (fleetBench, error) {
 	// Pooled path: shared worker pool, arena reuse, singleflight dedup.
 	cfg := fleetConfig(hosts)
-	cfg.Progress = runner.NewProgress(os.Stderr, "fleet bench", "hosts", hosts, 5*time.Second)
 	mp := startMemPeak()
-	start := time.Now()
-	st, err := cluster.RunStream(cfg, nil)
-	wall := time.Since(start).Seconds()
+	st, wall, err := runSection(cfg, "fleet bench")
 	peak := mp.Stop()
-	cfg.Progress.Finish()
 	if err != nil {
 		return fleetBench{}, err
 	}
@@ -382,13 +371,10 @@ func runFleetFidelity(hosts int, tol, auditRate, desHostsPerSec float64) (fideli
 		return fidelityBench{}, err
 	}
 	cfg.Exec = router
-	cfg.Progress = runner.NewProgress(os.Stderr, "fleet auto", "hosts", hosts, 5*time.Second)
 	mp := startMemPeak()
-	start := time.Now()
-	st, err := cluster.RunStream(cfg, nil)
-	fb.WallSeconds = time.Since(start).Seconds()
+	st, wall, err := runSection(cfg, "fleet auto")
+	fb.WallSeconds = wall
 	fb.PeakMemBytes = mp.Stop()
-	cfg.Progress.Finish()
 	if err != nil {
 		return fidelityBench{}, err
 	}
@@ -491,11 +477,7 @@ func runWarmStart(hosts int, tol, auditRate, warmAuditRate float64) (warmStartBe
 			return fidelity.Counters{}, 0, err
 		}
 		cfg.Exec = router
-		cfg.Progress = runner.NewProgress(os.Stderr, label, "hosts", hosts, 5*time.Second)
-		start := time.Now()
-		_, err = cluster.RunStream(cfg, nil)
-		wall := time.Since(start).Seconds()
-		cfg.Progress.Finish()
+		_, wall, err := runSection(cfg, label)
 		if err != nil {
 			return fidelity.Counters{}, 0, err
 		}
@@ -573,9 +555,7 @@ type report struct {
 	GoVersion string `json:"go_version"`
 	GOARCH    string `json:"goarch"`
 	Engine    struct {
-		New          benchResult `json:"new"`
-		Legacy       benchResult `json:"legacy"`
-		SpeedupRatio float64     `json:"speedup_ratio"`
+		New benchResult `json:"new"`
 	} `json:"engine"`
 	PacketPath struct {
 		Pooled benchResult `json:"pooled"`
@@ -663,11 +643,7 @@ func main() {
 		// Each workload processes ~1 event per op (the churn fires one event
 		// and schedules one replacement plus a timer arm/cancel pair).
 		orun.SetPhase("engine")
-		rep.Engine.New = toResult(testing.Benchmark(newEngineWorkload), 1)
-		rep.Engine.Legacy = toResult(testing.Benchmark(legacyEngineWorkload), 1)
-		if rep.Engine.New.NsPerOp > 0 {
-			rep.Engine.SpeedupRatio = rep.Engine.Legacy.NsPerOp / rep.Engine.New.NsPerOp
-		}
+		rep.Engine.New = toResult(testing.Benchmark(engineWorkload), 1)
 		orun.Advance(1)
 
 		orun.SetPhase("packet_path")
@@ -787,8 +763,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hicbench: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (engine speedup %.2fx, fig6 %.1fM events/s, fleet %.1f hosts/s, auto %.1f hosts/s %.2fx, cold %.1f hosts/s %.2fx, warm %.1f hosts/s %.2fx, serve scaling %.2fx warm %.2fx)\n",
-		*out, rep.Engine.SpeedupRatio, rep.Fig6.EventsPerSec/1e6,
+	fmt.Fprintf(os.Stderr, "wrote %s (fig6 %.1fM events/s, fleet %.1f hosts/s, auto %.1f hosts/s %.2fx, cold %.1f hosts/s %.2fx, warm %.1f hosts/s %.2fx, serve scaling %.2fx warm %.2fx)\n",
+		*out, rep.Fig6.EventsPerSec/1e6,
 		rep.Fleet.HostsPerSec,
 		rep.Fidelity.HostsPerSec, rep.Fidelity.SpeedupVsDES,
 		rep.ColdPath.ColdHostsPerSec, rep.ColdPath.Speedup,

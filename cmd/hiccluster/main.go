@@ -179,10 +179,10 @@ func main() {
 			srv.AddSource(collector)
 		}
 	}
+	var lines *obs.Lines // nil-safe Stop
 	if *progress {
-		cfg.Progress = runner.NewProgress(os.Stderr, "fleet", "hosts", cfg.Hosts, time.Second)
 		pool := runner.Shared()
-		cfg.Progress.SetNote(func() string {
+		lines = obs.NewLines(os.Stderr, obs.Default(), "fleet", "hosts", time.Second, func() string {
 			ps := pool.Stats()
 			note := fmt.Sprintf("slots %db/%di", ps.Busy, ps.Idle+ps.Draining)
 			if router != nil {
@@ -200,6 +200,7 @@ func main() {
 			}
 			return note
 		})
+		cfg.Sink = lines
 	}
 
 	var stats cluster.Stats
@@ -212,7 +213,7 @@ func main() {
 			_, werr := fmt.Fprint(out, cluster.CSVRow(p))
 			return werr
 		})
-		cfg.Progress.Finish()
+		lines.Stop()
 		if ferr := out.Flush(); err == nil {
 			err = ferr
 		}
@@ -222,7 +223,7 @@ func main() {
 			points = append(points, p)
 			return nil
 		})
-		cfg.Progress.Finish()
+		lines.Stop()
 		if err == nil {
 			fmt.Print(cluster.Scatter(points, 72, 20))
 			fmt.Printf("\nhosts=%d  mean utilization=%.2f  dropping=%d  dropping-below-60%%-util=%d\n",

@@ -84,8 +84,6 @@ func main() {
 	noKnee := flag.Bool("no-knee-search", false, "query: disable adaptive knee localization (keep full knee bands DES-forced)")
 	noTransfer := flag.Bool("no-transfer", false, "query: disable cross-signature calibration transfer")
 	noPrefetch := flag.Bool("no-prefetch", false, "query: disable signature prefetch leases (workers calibrate lazily)")
-	kneeRadius := flag.Int("knee-radius", 0, "query: forced-DES half-width around a located knee (0 = router default)")
-	transferRadius := flag.Float64("transfer-radius", 0, "query: max signature distance calibration transfer borrows across (0 = router default)")
 	rangeHosts := flag.Int("range-hosts", 0, "query: hosts per shard range (0 = auto)")
 	csv := flag.Bool("csv", false, "query: stream per-host CSV to stdout instead of the result JSON")
 	timeoutSec := flag.Float64("timeout-sec", 0, "query: fail the query after this many seconds (0 = none)")
@@ -112,8 +110,6 @@ func main() {
 			NoKneeSearch:   *noKnee,
 			NoTransfer:     *noTransfer,
 			NoPrefetch:     *noPrefetch,
-			KneeRadius:     *kneeRadius,
-			TransferRadius: *transferRadius,
 			RangeHosts:     *rangeHosts,
 			TimeoutSec:     *timeoutSec,
 			Points:         *csv,

@@ -85,9 +85,6 @@ type Config struct {
 	// Log, when non-nil, receives one-line diagnostics (the
 	// multi-window cache-skip notice). nil is silent.
 	Log io.Writer
-	// Progress, when non-nil, is advanced by one unit per completed
-	// host (runner.NewProgress prints rate and ETA on stderr).
-	Progress *runner.Progress
 	// Sink, when non-nil, receives structured run/point events and the
 	// /progress run registration; nil falls back to the process-global
 	// obs sink (nil there too = fully disabled, zero overhead).
@@ -574,7 +571,6 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 	err := runner.MapOrdered(pool, n,
 		func(i int, a *runner.Arena) (hostOut, error) {
 			host := lo + i
-			defer cfg.Progress.Add(1)
 			defer orun.Advance(1)
 			if sink != nil {
 				sink.Emit(obs.Event{Kind: obs.KindPointStart, Run: orun.Label(), Point: host})

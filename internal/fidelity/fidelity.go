@@ -156,13 +156,10 @@ type Config struct {
 	// KneeSearch enables per-signature knee localization in ModeAuto:
 	// instead of forcing DES for every point inside a knee band, an
 	// O(log n) bisection along the antagonist-tier axis locates the
-	// actual regime boundary; band points outside a KneeRadius
-	// neighborhood of the located knee are served from calibrated
-	// fluid under a widened, probe-measured error bound (see knee.go).
+	// actual regime boundary; band points other than the last smooth
+	// and first saturated tiers are served from calibrated fluid
+	// under a widened, probe-measured error bound (see knee.go).
 	KneeSearch bool
-	// KneeRadius is the half-width, in antagonist tiers, of the
-	// forced-DES neighborhood around a located knee (0 = 1).
-	KneeRadius int
 	// Transfer enables cross-signature calibration transfer: a
 	// signature with no calibration of its own borrows anchor gains
 	// and drop offsets from the nearest calibrated hub in
@@ -170,9 +167,6 @@ type Config struct {
 	// reducing its own anchor DES (see transfer.go). Inert until
 	// SetRoster installs the sweep's signature roster.
 	Transfer bool
-	// TransferRadius caps the signature-space distance a spoke may
-	// borrow across (0 = 2.5; sigDistance defines the metric).
-	TransferRadius float64
 	// Log, when non-nil, receives one-line routing diagnostics.
 	Log io.Writer
 	// Sink, when non-nil, receives structured routing and audit events;
@@ -310,12 +304,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.WarmAuditRate < 0 || cfg.WarmAuditRate > 1 {
 		return nil, fmt.Errorf("fidelity: WarmAuditRate %v outside [0, 1]", cfg.WarmAuditRate)
-	}
-	if cfg.KneeRadius < 0 {
-		return nil, fmt.Errorf("fidelity: KneeRadius %d negative", cfg.KneeRadius)
-	}
-	if cfg.TransferRadius < 0 {
-		return nil, fmt.Errorf("fidelity: TransferRadius %v negative", cfg.TransferRadius)
 	}
 	if len(cfg.AnchorSeeds) == 0 {
 		cfg.AnchorSeeds = []uint64{1, 2}

@@ -21,10 +21,8 @@ type Flags struct {
 	WarmURL       string
 	WarmAuditRate float64
 
-	KneeSearch     bool
-	KneeRadius     int
-	Transfer       bool
-	TransferRadius float64
+	KneeSearch bool
+	Transfer   bool
 }
 
 // DefaultWarmDir is where the persistent warm-start store lives unless
@@ -54,12 +52,8 @@ func RegisterFlags(fs *flag.FlagSet, defaultMode Mode) *Flags {
 		"cold-re-run this fraction of warm-startable points and record the observed warm-start error")
 	fs.BoolVar(&f.KneeSearch, "knee-search", true,
 		"auto mode: bisect each signature's regime boundary and fluid-route knee-band points away from the located knee (widened, audited bound)")
-	fs.IntVar(&f.KneeRadius, "knee-radius", 1,
-		"half-width, in antagonist tiers, of the forced-DES neighborhood around a located knee")
 	fs.BoolVar(&f.Transfer, "calib-transfer", true,
 		"auto mode: let uncalibrated signatures borrow anchor calibration from the nearest calibrated neighbor (inflated, audited bound)")
-	fs.Float64Var(&f.TransferRadius, "transfer-radius", 1.2,
-		"max signature-space distance calibration transfer may borrow across")
 	return f
 }
 
@@ -92,19 +86,17 @@ func (f *Flags) Router(cache *runcache.Store, anchorSeeds []uint64, log io.Write
 		}
 	}
 	return New(Config{
-		Mode:           mode,
-		Tol:            f.Tol,
-		AuditRate:      f.AuditRate,
-		EarlyStop:      f.EarlyStop,
-		Cache:          cache,
-		AnchorSeeds:    anchorSeeds,
-		Log:            log,
-		Warm:           warm,
-		WarmStore:      warmStore,
-		WarmAuditRate:  f.WarmAuditRate,
-		KneeSearch:     f.KneeSearch,
-		KneeRadius:     f.KneeRadius,
-		Transfer:       f.Transfer,
-		TransferRadius: f.TransferRadius,
+		Mode:          mode,
+		Tol:           f.Tol,
+		AuditRate:     f.AuditRate,
+		EarlyStop:     f.EarlyStop,
+		Cache:         cache,
+		AnchorSeeds:   anchorSeeds,
+		Log:           log,
+		Warm:          warm,
+		WarmStore:     warmStore,
+		WarmAuditRate: f.WarmAuditRate,
+		KneeSearch:    f.KneeSearch,
+		Transfer:      f.Transfer,
 	})
 }

@@ -8,7 +8,7 @@ package fidelity
 // signature, an O(log n) bisection along the antagonist-tier axis (the
 // axis that sweeps memory-bus pressure, and the one the anchor grid
 // already spans) locates the first saturated tier. Band points outside
-// a KneeRadius neighborhood of that boundary are served from the
+// a kneeRadius neighborhood of that boundary are served from the
 // calibrated curve under a widened error bound that folds in the
 // residual measured at the probe tiers themselves; the existing
 // -audit-rate shadow runs keep the approximation hard-gated.
@@ -45,6 +45,10 @@ const (
 	// kneeMaxProbes caps a bisection defensively; ceil(log2(15 tiers))
 	// is 4, so the cap only matters if the grid grows dramatically.
 	kneeMaxProbes = 10
+	// kneeRadius is the half-width, in antagonist tiers, of the
+	// forced-DES neighborhood around a located knee: the last smooth
+	// and first saturated tiers stay on DES.
+	kneeRadius = 1
 )
 
 // kneeState is one located (or abandoned) regime boundary along the
@@ -65,18 +69,10 @@ type kneeState struct {
 	resid float64
 }
 
-func (r *Router) kneeRadius() int {
-	if r.cfg.KneeRadius > 0 {
-		return r.cfg.KneeRadius
-	}
-	return 1
-}
-
 // inForced reports whether tier x falls in the forced-DES neighborhood
-// [k-radius, k+radius-1] around the located boundary (the last smooth
-// and first saturated tiers, at the default radius 1).
-func (ks *kneeState) inForced(x, radius int) bool {
-	return ks.hasKnee && x >= ks.k-radius && x <= ks.k+radius-1
+// [k-kneeRadius, k+kneeRadius-1] around the located boundary.
+func (ks *kneeState) inForced(x int) bool {
+	return ks.hasKnee && x >= ks.k-kneeRadius && x <= ks.k+kneeRadius-1
 }
 
 // kneePlan decides whether a knee-band point can be served from the
@@ -100,7 +96,7 @@ func (r *Router) kneePlan(p core.Params, pred fluid.Prediction, why string) (str
 	if err != nil {
 		return "", nil, false, err
 	}
-	if ks.fallback || ks.inForced(p.AntagonistCores, r.kneeRadius()) {
+	if ks.fallback || ks.inForced(p.AntagonistCores) {
 		return "", nil, false, nil
 	}
 	widened := math.Max(errBound, kneeInflate*ks.resid)

@@ -39,12 +39,13 @@ const (
 	// (dist ≲ 0.5) borrow outright while a full-radius spoke pays the
 	// larger penalty and usually probes.
 	transferAlpha = 0.05
-	// defaultTransferRadius is the assignment cutoff when
-	// Config.TransferRadius is zero. 1.2 keeps donors within the same
-	// workload family (thread/sender/region ratios within ~2×): on the
-	// fleet catalog the wider 2.5 radius admits cross-duty-cycle donors
-	// whose 25%-audit error tail grazes the tolerance.
-	defaultTransferRadius = 1.2
+	// transferRadius caps the signature-space distance a spoke may
+	// borrow across (sigDistance defines the metric). 1.2 keeps donors
+	// within the same workload family (thread/sender/region ratios
+	// within ~2×): on the fleet catalog the wider 2.5 radius admits
+	// cross-duty-cycle donors whose 25%-audit error tail grazes the
+	// tolerance.
+	transferRadius = 1.2
 	// xferNoiseInflate widens the donor's smooth-regime (mid-tier)
 	// seed-to-seed noise before it stands in for the spoke's own. Only
 	// the mid tier transfers at all: high-tier noise is knee-position-
@@ -52,13 +53,6 @@ const (
 	// catalog), so every spoke measures its own top-tier noise pair.
 	xferNoiseInflate = 1.75
 )
-
-func (r *Router) transferRadius() float64 {
-	if r.cfg.TransferRadius > 0 {
-		return r.cfg.TransferRadius
-	}
-	return defaultTransferRadius
-}
 
 // TransferEnabled reports whether this router participates in roster
 // building (callers skip the signature scan otherwise).
@@ -90,7 +84,7 @@ type roster struct {
 // variation are fine — signatures are deduplicated). Clustering is
 // greedy over the canonically-sorted signature list: the first
 // signature of each neighborhood becomes a hub (calibrates its own
-// grid), later signatures within TransferRadius of an existing hub
+// grid), later signatures within transferRadius of an existing hub
 // become its spokes. Sorting first makes the assignment a pure function
 // of the signature *set*, so every worker and every shard order builds
 // the identical roster. Installing a roster with the same signature set
@@ -111,9 +105,8 @@ func (r *Router) SetRoster(reps []core.Params) {
 		}
 	}
 	sort.Strings(keys)
-	radius := r.transferRadius()
 	rosterKey := runcache.Key("hic-roster-1",
-		fmt.Sprintf("r=%g|", radius)+strings.Join(keys, "\n"))
+		fmt.Sprintf("r=%g|", transferRadius)+strings.Join(keys, "\n"))
 
 	r.mu.Lock()
 	if r.roster != nil && r.roster.key == rosterKey {
@@ -136,7 +129,7 @@ func (r *Router) SetRoster(reps []core.Params) {
 				best, bestD = i, d
 			}
 		}
-		if best >= 0 && bestD <= radius {
+		if best >= 0 && bestD <= transferRadius {
 			hubs[best].members = append(hubs[best].members, k)
 		} else {
 			hubs = append(hubs, &hub{key: k, rep: p, members: []string{k}})
@@ -175,7 +168,7 @@ func (r *Router) SetRoster(reps []core.Params) {
 	r.roster = &roster{key: rosterKey, assign: assign}
 	r.mu.Unlock()
 	r.logf("fidelity: roster %d signatures, %d hubs, %d spokes (radius %g)",
-		len(keys), len(keys)-len(assign), len(assign), radius)
+		len(keys), len(keys)-len(assign), len(assign), transferRadius)
 }
 
 // assignFor returns the roster's donor assignment for p's signature

@@ -15,14 +15,22 @@ import (
 // moments with near-duplicate observations.
 const rateSampleInterval = 250 * time.Millisecond
 
+// maxFinishedRuns bounds how many finished runs the registry keeps
+// listing. A long-lived coordinator registers a run per query and per
+// fleet range; beyond this many finished ones, the oldest fold into
+// the retired totals, so /progress and /metrics stay bounded while
+// Aggregate keeps counting them.
+const maxFinishedRuns = 64
+
 // Tracker is the run registry behind /progress: every long fan-out
 // (fleet, sweep, bench section) registers a Run, advances it per
 // completed point, and the tracker serves smoothed rate and ETA.
 type Tracker struct {
 	now func() time.Time
 
-	mu   sync.Mutex
-	runs []*Run
+	mu      sync.Mutex
+	runs    []*Run
+	retired runTotals // finished runs evicted from runs
 }
 
 // NewTracker returns an empty registry. now is the clock (nil =
@@ -72,7 +80,8 @@ func (t *Tracker) StartRun(label string, total int64, phases ...string) *Run {
 	return r
 }
 
-// Snapshot reports every registered run, registration order.
+// Snapshot reports every listed run, registration order: all unfinished
+// runs and the newest maxFinishedRuns finished ones.
 func (t *Tracker) Snapshot() []RunStatus {
 	t.mu.Lock()
 	runs := append([]*Run(nil), t.runs...)
@@ -85,47 +94,58 @@ func (t *Tracker) Snapshot() []RunStatus {
 	return out
 }
 
-// Aggregate folds every run into one totals row: summed units, and the
-// rate moments of all runs merged (stats.Moments.Merge) so the
-// fleet-wide points/sec and ETA survive runs starting and finishing.
+// Aggregate folds every run, retired ones included, into one totals
+// row: summed units, and the rate moments of all runs merged
+// (stats.Moments.Merge) so the fleet-wide points/sec and ETA survive
+// runs starting and finishing.
 func (t *Tracker) Aggregate() RunStatus {
 	t.mu.Lock()
+	acc := t.retired
 	runs := append([]*Run(nil), t.runs...)
 	now := t.now()
 	t.mu.Unlock()
-	agg := RunStatus{Run: "all"}
-	var merged stats.Moments
-	var earliest time.Time
-	allDone := len(runs) > 0
 	for _, r := range runs {
-		st := r.status(now)
-		agg.Total += st.Total
-		agg.Done += st.Done
-		if earliest.IsZero() || r.start.Before(earliest) {
-			earliest = r.start
-		}
-		r.mu.Lock()
-		merged.Merge(r.rates)
-		r.mu.Unlock()
-		if !st.Finished {
-			allDone = false
-		}
+		acc.add(r)
 	}
-	if !earliest.IsZero() {
-		agg.ElapsedSec = now.Sub(earliest).Seconds()
+	agg := RunStatus{Run: "all", Total: acc.total, Done: acc.done, Finished: acc.n > 0 && acc.open == 0}
+	if !acc.start.IsZero() {
+		agg.ElapsedSec = now.Sub(acc.start).Seconds()
 	}
-	agg.RateSamples = merged.N()
-	if merged.N() > 0 {
-		agg.PointsPerSec = merged.Mean()
-		agg.RateStddev = merged.Stddev()
+	agg.RateSamples = acc.rates.N()
+	if acc.rates.N() > 0 {
+		agg.PointsPerSec = acc.rates.Mean()
+		agg.RateStddev = acc.rates.Stddev()
 	} else if agg.ElapsedSec > 0 {
 		agg.PointsPerSec = float64(agg.Done) / agg.ElapsedSec
 	}
 	if rem := agg.Total - agg.Done; rem > 0 && agg.PointsPerSec > 0 {
 		agg.EtaSec = float64(rem) / agg.PointsPerSec
 	}
-	agg.Finished = allDone
 	return agg
+}
+
+// runTotals folds runs into Aggregate's row: run and unfinished counts,
+// summed units, merged rate moments and the earliest start.
+type runTotals struct {
+	n, open     int
+	total, done int64
+	rates       stats.Moments
+	start       time.Time
+}
+
+func (a *runTotals) add(r *Run) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	a.n++
+	if !r.finished {
+		a.open++
+	}
+	a.total += r.total
+	a.done += r.done.Load()
+	a.rates.Merge(r.rates)
+	if a.start.IsZero() || r.start.Before(a.start) {
+		a.start = r.start
+	}
 }
 
 // Run is one tracked unit-of-work group. The zero method set is
@@ -215,6 +235,31 @@ func (r *Run) Finish() {
 	if cb != nil {
 		cb(r)
 	}
+	r.tr.retire()
+}
+
+// retire folds the oldest finished runs past maxFinishedRuns into the
+// retired totals.
+func (t *Tracker) retire() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	finished := 0
+	for _, r := range t.runs {
+		if r.isFinished() {
+			finished++
+		}
+	}
+	kept := t.runs[:0]
+	for _, r := range t.runs {
+		if finished > maxFinishedRuns && r.isFinished() {
+			finished--
+			t.retired.add(r)
+			continue
+		}
+		kept = append(kept, r)
+	}
+	clear(t.runs[len(kept):])
+	t.runs = kept
 }
 
 func (r *Run) isFinished() bool {

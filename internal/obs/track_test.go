@@ -179,3 +179,42 @@ func TestNilRunIsSafe(t *testing.T) {
 		t.Error("nil Label not empty")
 	}
 }
+
+// TestTrackerBoundsFinishedRuns: a long-lived registry (one run per
+// query or fleet range) lists at most maxFinishedRuns finished runs,
+// and the evicted ones still count in Aggregate.
+func TestTrackerBoundsFinishedRuns(t *testing.T) {
+	clk := newFakeClock()
+	tr := NewTracker(clk.now)
+	const cycles = 10000
+	for i := 0; i < cycles; i++ {
+		r := tr.StartRun("serve:q", 3)
+		clk.advance(time.Second)
+		r.Advance(3) // one rate sample at exactly 3 units/sec
+		r.Finish()
+	}
+	if n := len(tr.Snapshot()); n > maxFinishedRuns {
+		t.Fatalf("registry lists %d runs, want at most %d", n, maxFinishedRuns)
+	}
+	agg := tr.Aggregate()
+	if agg.Total != 3*cycles || agg.Done != 3*cycles || !agg.Finished {
+		t.Fatalf("aggregate = %+v, want total = done = %d, finished", agg, 3*cycles)
+	}
+	if agg.RateSamples != cycles || math.Abs(agg.PointsPerSec-3) > 1e-9 {
+		t.Errorf("rate = %.3f over %d samples, want 3.000 over %d", agg.PointsPerSec, agg.RateSamples, cycles)
+	}
+	if agg.ElapsedSec != cycles {
+		t.Errorf("elapsed = %g, want %d (from the first run's start)", agg.ElapsedSec, cycles)
+	}
+
+	// An unfinished run is never evicted, however many finish after it.
+	live := tr.StartRun("fleet", 10)
+	for i := 0; i < 2*maxFinishedRuns; i++ {
+		tr.StartRun("range", 1).Finish()
+	}
+	sts := tr.Snapshot()
+	if sts[0].Run != "fleet" || sts[0].Finished {
+		t.Fatalf("live run evicted: first listed = %+v", sts[0])
+	}
+	live.Finish()
+}

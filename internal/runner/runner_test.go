@@ -326,47 +326,3 @@ func TestChunkFor(t *testing.T) {
 		}
 	}
 }
-
-func TestProgressNilSafe(t *testing.T) {
-	var p *Progress
-	p.Add(1)
-	p.SetNote(func() string { return "x" })
-	p.Finish()
-	if p.Done() != 0 {
-		t.Fatal("nil progress Done() != 0")
-	}
-}
-
-func TestProgressCountsAndFinishes(t *testing.T) {
-	var buf syncBuffer
-	p := NewProgress(&buf, "test", "items", 10, 10*time.Millisecond)
-	p.SetNote(func() string { return "note-text" })
-	p.Add(4)
-	p.Add(6)
-	if p.Done() != 10 {
-		t.Fatalf("Done() = %d", p.Done())
-	}
-	p.Finish()
-	p.Finish() // idempotent
-	out := buf.String()
-	if !strings.Contains(out, "test: 10/10") || !strings.Contains(out, "note-text") {
-		t.Fatalf("final line missing counts or note:\n%s", out)
-	}
-}
-
-type syncBuffer struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}

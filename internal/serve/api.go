@@ -65,13 +65,10 @@ type QueryRequest struct {
 	// knee bands DES-forced, NoTransfer calibrates every signature from
 	// its own anchor grid, and NoPrefetch skips the coordinator's
 	// signature prefetch leases (workers then calibrate lazily on first
-	// touch inside range execution). KneeRadius and TransferRadius
-	// override the router defaults when positive.
-	NoKneeSearch   bool    `json:"no_knee_search,omitempty"`
-	NoTransfer     bool    `json:"no_transfer,omitempty"`
-	NoPrefetch     bool    `json:"no_prefetch,omitempty"`
-	KneeRadius     int     `json:"knee_radius,omitempty"`
-	TransferRadius float64 `json:"transfer_radius,omitempty"`
+	// touch inside range execution).
+	NoKneeSearch bool `json:"no_knee_search,omitempty"`
+	NoTransfer   bool `json:"no_transfer,omitempty"`
+	NoPrefetch   bool `json:"no_prefetch,omitempty"`
 
 	// RangeHosts overrides the shard granularity (0 = auto: the fleet
 	// split about eight ranges per registered worker, like the runner's
@@ -133,9 +130,9 @@ func (q QueryRequest) ClusterConfig() cluster.Config {
 // exactly when reusing it is sound. The fleet seed is included because
 // anchor seeds derive from it (cluster.SeedPool).
 func (q QueryRequest) FidelitySignature() string {
-	return fmt.Sprintf("m=%s tol=%g audit=%g es=%t warm=%s seed=%d ks=%t kr=%d xfer=%t xr=%g",
+	return fmt.Sprintf("m=%s tol=%g audit=%g es=%t warm=%s seed=%d ks=%t xfer=%t",
 		q.Fidelity, q.Tol, q.AuditRate, q.EarlyStop, q.Warm, q.Seed,
-		!q.NoKneeSearch, q.KneeRadius, !q.NoTransfer, q.TransferRadius)
+		!q.NoKneeSearch, !q.NoTransfer)
 }
 
 // Prefetchable reports whether the coordinator should dispense

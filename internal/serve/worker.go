@@ -414,15 +414,13 @@ func (w *Worker) routerFor(spec QueryRequest, cfg cluster.Config) (*fidelity.Rou
 		return r, nil
 	}
 	fcfg := fidelity.Config{
-		Tol:            spec.Tol,
-		AuditRate:      spec.AuditRate,
-		EarlyStop:      spec.EarlyStop,
-		AnchorSeeds:    cluster.SeedPool(cfg),
-		Log:            w.opts.Log,
-		KneeSearch:     !spec.NoKneeSearch,
-		KneeRadius:     spec.KneeRadius,
-		Transfer:       !spec.NoTransfer,
-		TransferRadius: spec.TransferRadius,
+		Tol:         spec.Tol,
+		AuditRate:   spec.AuditRate,
+		EarlyStop:   spec.EarlyStop,
+		AnchorSeeds: cluster.SeedPool(cfg),
+		Log:         w.opts.Log,
+		KneeSearch:  !spec.NoKneeSearch,
+		Transfer:    !spec.NoTransfer,
 	}
 	if spec.Fidelity != "" {
 		mode, err := fidelity.ParseMode(spec.Fidelity)

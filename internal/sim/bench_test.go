@@ -1,23 +1,19 @@
 package sim_test
 
-// Hot-path benchmarks for the event engine, with the pre-rewrite
-// container/heap implementation (internal/sim/legacy) alongside as the
-// measured baseline. `make bench` runs these; `make check` runs a 1x
-// smoke pass plus TestEngineSteadyStateZeroAllocs, which gates the
-// allocation-free property the rewrite exists to provide.
+// Hot-path benchmarks for the event engine. `make bench` runs these;
+// `make check` runs a 1x smoke pass plus TestEngineSteadyStateZeroAllocs,
+// which gates the allocation-free property of the free-listed 4-ary heap.
 
 import (
 	"math"
 	"testing"
 
 	"hic/internal/sim"
-	"hic/internal/sim/legacy"
 )
 
 // BenchmarkEngineScheduleFire measures the minimal schedule→fire cycle:
-// one event scheduled and executed per iteration, free list warm. The
-// legacy engine pays one event allocation plus container/heap interface
-// boxing per cycle; this one pays neither.
+// one event scheduled and executed per iteration, free list warm: no
+// event allocation and no interface boxing per cycle.
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	e := sim.NewEngine(1)
 	nop := func() {}
@@ -27,20 +23,6 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(1, nop)
 		e.Drain()
-	}
-}
-
-// BenchmarkEngineLegacyScheduleFire is the same cycle on the
-// pre-rewrite engine.
-func BenchmarkEngineLegacyScheduleFire(b *testing.B) {
-	e := legacy.NewEngine()
-	nop := func() {}
-	e.After(1, nop)
-	e.Run(e.Now().Add(2))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.After(1, nop)
-		e.Run(e.Now().Add(2))
 	}
 }
 
@@ -64,28 +46,6 @@ func BenchmarkEngineChurn(b *testing.B) {
 	}
 	for i := 0; i < churnDepth; i++ {
 		e.After(sim.Duration(1+e.RNG().Intn(997)), tick)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run(math.MaxInt64 - 1)
-}
-
-// BenchmarkEngineLegacyChurn is the same workload on the pre-rewrite
-// binary heap.
-func BenchmarkEngineLegacyChurn(b *testing.B) {
-	e := legacy.NewEngine()
-	rng := sim.NewRNG(1)
-	target := uint64(b.N) + churnDepth
-	var tick func()
-	tick = func() {
-		if e.Processed() >= target {
-			e.Stop()
-			return
-		}
-		e.After(sim.Duration(1+rng.Intn(997)), tick)
-	}
-	for i := 0; i < churnDepth; i++ {
-		e.After(sim.Duration(1+rng.Intn(997)), tick)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -138,36 +98,5 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if ticks == 0 {
 		t.Fatal("ticker never fired")
-	}
-}
-
-// TestLegacyEngineMatchesRewrite cross-checks the baseline package: both
-// engines must execute the same schedule in the same order (the (at,
-// seq) total order guarantees it), otherwise legacy benchmark numbers
-// would not be comparable.
-func TestLegacyEngineMatchesRewrite(t *testing.T) {
-	runTrace := func(schedule func(d sim.Duration, fn func()), run func()) []int {
-		var order []int
-		rng := sim.NewRNG(99)
-		for i := 0; i < 200; i++ {
-			i := i
-			schedule(sim.Duration(rng.Intn(50)), func() { order = append(order, i) })
-		}
-		run()
-		return order
-	}
-	e := sim.NewEngine(1)
-	got := runTrace(func(d sim.Duration, fn func()) { e.After(d, fn) },
-		func() { e.Drain() })
-	l := legacy.NewEngine()
-	want := runTrace(func(d sim.Duration, fn func()) { l.After(d, fn) },
-		func() { l.Run(math.MaxInt64 - 1) })
-	if len(got) != len(want) {
-		t.Fatalf("event counts differ: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("execution order diverges at %d: new=%d legacy=%d", i, got[i], want[i])
-		}
 	}
 }

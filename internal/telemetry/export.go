@@ -5,7 +5,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"regexp"
@@ -14,22 +13,8 @@ import (
 	"hic/internal/asciiplot"
 	"hic/internal/metrics"
 	"hic/internal/sim"
+	"hic/internal/trace"
 )
-
-// chromeEvent is one trace_event record. Field order (and json.Marshal's
-// sorted map keys for Args) keeps the output stable.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"` // microseconds
-	Dur   float64        `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	ID    string         `json:"id,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
 
 func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 
@@ -43,43 +28,17 @@ func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 // release at once). Stage annotations ride in args. Drops appear as
 // thread-scoped instant events named by their attributed cause.
 func WriteChromeTrace(w io.Writer, run *Run) error {
-	var events []chromeEvent
-	events = append(events, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: 1, Cat: "__metadata",
-		Args: map[string]any{"name": "hic receiver host"},
-	})
-
 	queues := map[int]bool{}
+	var events []trace.Event
 	if run.Tracer != nil {
 		for _, sp := range run.Tracer.Spans() {
 			queues[sp.Queue] = true
-		}
-	}
-	if run.Drops != nil {
-		for _, ev := range run.Drops.Events() {
-			queues[ev.Queue] = true
-		}
-	}
-	qsorted := make([]int, 0, len(queues))
-	for q := range queues {
-		qsorted = append(qsorted, q)
-	}
-	sort.Ints(qsorted)
-	for _, q := range qsorted {
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: q + 1, Cat: "__metadata",
-			Args: map[string]any{"name": fmt.Sprintf("rx-queue-%d", q)},
-		})
-	}
-
-	if run.Tracer != nil {
-		for _, sp := range run.Tracer.Spans() {
 			id := fmt.Sprintf("0x%x", sp.ID)
 			end := sp.End
 			if end == 0 {
 				end = sp.cursor // unfinished span: close at its covered prefix
 			}
-			events = append(events, chromeEvent{
+			events = append(events, trace.Event{
 				Name: "dma", Cat: "dma", Ph: "b", Ts: usec(sp.Start),
 				Pid: 1, Tid: sp.Queue + 1, ID: id,
 				Args: map[string]any{
@@ -96,12 +55,12 @@ func WriteChromeTrace(w io.Writer, run *Run) error {
 					args[a.Key] = a.Value
 				}
 				events = append(events,
-					chromeEvent{Name: st.Stage.String(), Cat: "dma", Ph: "b",
+					trace.Event{Name: st.Stage.String(), Cat: "dma", Ph: "b",
 						Ts: usec(st.Enter), Pid: 1, Tid: sp.Queue + 1, ID: id, Args: args},
-					chromeEvent{Name: st.Stage.String(), Cat: "dma", Ph: "e",
+					trace.Event{Name: st.Stage.String(), Cat: "dma", Ph: "e",
 						Ts: usec(st.Exit), Pid: 1, Tid: sp.Queue + 1, ID: id})
 			}
-			events = append(events, chromeEvent{
+			events = append(events, trace.Event{
 				Name: "dma", Cat: "dma", Ph: "e", Ts: usec(end),
 				Pid: 1, Tid: sp.Queue + 1, ID: id,
 			})
@@ -110,7 +69,8 @@ func WriteChromeTrace(w io.Writer, run *Run) error {
 
 	if run.Drops != nil {
 		for _, ev := range run.Drops.Events() {
-			events = append(events, chromeEvent{
+			queues[ev.Queue] = true
+			events = append(events, trace.Event{
 				Name: "drop:" + ev.Cause.String(), Cat: "drop", Ph: "i",
 				Ts: usec(ev.At), Pid: 1, Tid: ev.Queue + 1, Scope: "t",
 				Args: map[string]any{
@@ -125,30 +85,18 @@ func WriteChromeTrace(w io.Writer, run *Run) error {
 		}
 	}
 
-	return writeChromeEvents(w, events)
+	return trace.WriteChrome(w, "hic receiver host", queueThreads(queues), events)
 }
 
-// writeChromeEvents emits the trace_event envelope, one event per line.
-func writeChromeEvents(w io.Writer, events []chromeEvent) error {
-	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
-		return err
+// queueThreads names one track per receive queue, tid q+1, in queue
+// order.
+func queueThreads(queues map[int]bool) []trace.Thread {
+	threads := make([]trace.Thread, 0, len(queues))
+	for q := range queues {
+		threads = append(threads, trace.Thread{Tid: q + 1, Name: fmt.Sprintf("rx-queue-%d", q)})
 	}
-	for i, ev := range events {
-		if i > 0 {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	sort.Slice(threads, func(i, j int) bool { return threads[i].Tid < threads[j].Tid })
+	return threads
 }
 
 // CaptureEvent is one complete (begin+duration) observation for
@@ -169,33 +117,17 @@ type CaptureEvent struct {
 // JSON: one complete ("X") slice per event on its queue's track. Events
 // are emitted in input order; output is deterministic for a given input.
 func WriteCaptureTrace(w io.Writer, name string, evs []CaptureEvent) error {
-	events := []chromeEvent{{
-		Name: "process_name", Ph: "M", Pid: 1, Cat: "__metadata",
-		Args: map[string]any{"name": name},
-	}}
 	queues := map[int]bool{}
+	events := make([]trace.Event, 0, len(evs))
 	for _, ev := range evs {
 		queues[ev.Queue] = true
-	}
-	qsorted := make([]int, 0, len(queues))
-	for q := range queues {
-		qsorted = append(qsorted, q)
-	}
-	sort.Ints(qsorted)
-	for _, q := range qsorted {
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: q + 1, Cat: "__metadata",
-			Args: map[string]any{"name": fmt.Sprintf("rx-queue-%d", q)},
-		})
-	}
-	for _, ev := range evs {
-		events = append(events, chromeEvent{
+		events = append(events, trace.Event{
 			Name: ev.Name, Cat: "wire", Ph: "X", Ts: usec(ev.Start),
 			Dur: usec(ev.End) - usec(ev.Start), Pid: 1, Tid: ev.Queue + 1,
 			Args: ev.Args,
 		})
 	}
-	return writeChromeEvents(w, events)
+	return trace.WriteChrome(w, name, queueThreads(queues), events)
 }
 
 var promUnsafe = regexp.MustCompile(`[^a-zA-Z0-9_]`)

@@ -2,14 +2,13 @@
 // sim-time series recorder. A sharded query's lifecycle (queue wait,
 // prefetch barrier, per-worker range leases, merge) is a set of
 // WallSpans collected by the coordinator; WriteChromeWallSpans renders
-// them in Chrome trace_event JSON — the same format telemetry's
-// sim-time exporter emits — so Perfetto shows the query as one process
+// them through the same trace_event writer telemetry's sim-time
+// exporter uses, so Perfetto shows the query as one process
 // with one track per span track name (the coordinator plus each
 // worker).
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -32,49 +31,28 @@ type WallSpan struct {
 	Args map[string]float64 `json:"args,omitempty"`
 }
 
-// wallEvent is one trace_event record. A subset of telemetry's
-// chromeEvent (this package stays a leaf: stdlib only), with the same
-// field order so the two exporters' outputs read alike.
-type wallEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds since the trace origin
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeWallSpans renders wall-clock spans as Chrome trace_event
-// JSON (the format chrome://tracing and Perfetto load): one process
-// named process, one thread per distinct Track (tid assigned in
-// first-appearance order, named via thread_name metadata), and each
+// JSON through WriteChrome: one process named process, one thread per
+// distinct Track (tid assigned in first-appearance order), and each
 // span a complete "X" slice. Timestamps are microseconds relative to
 // the earliest span start, so traces are byte-stable across reruns of
 // identical relative timing. Output is deterministic for a given span
 // slice (json.Marshal sorts Args keys).
 func WriteChromeWallSpans(w io.Writer, process string, spans []WallSpan) error {
-	events := []wallEvent{{
-		Name: "process_name", Ph: "M", Pid: 1, Cat: "__metadata",
-		Args: map[string]any{"name": process},
-	}}
-
+	var threads []Thread
 	tids := make(map[string]int)
 	var origin int64
 	for i, sp := range spans {
 		if _, ok := tids[sp.Track]; !ok {
 			tids[sp.Track] = len(tids) + 1
-			events = append(events, wallEvent{
-				Name: "thread_name", Ph: "M", Pid: 1, Tid: tids[sp.Track], Cat: "__metadata",
-				Args: map[string]any{"name": sp.Track},
-			})
+			threads = append(threads, Thread{Tid: tids[sp.Track], Name: sp.Track})
 		}
 		if i == 0 || sp.StartNs < origin {
 			origin = sp.StartNs
 		}
 	}
 
+	events := make([]Event, 0, len(spans))
 	for _, sp := range spans {
 		if sp.EndNs < sp.StartNs {
 			return fmt.Errorf("trace: span %q on %q ends before it starts", sp.Name, sp.Track)
@@ -86,33 +64,14 @@ func WriteChromeWallSpans(w io.Writer, process string, spans []WallSpan) error {
 				args[k] = v
 			}
 		}
-		events = append(events, wallEvent{
+		events = append(events, Event{
 			Name: sp.Name, Cat: "serve", Ph: "X",
 			Ts:  float64(sp.StartNs-origin) / 1e3,
 			Dur: float64(sp.EndNs-sp.StartNs) / 1e3,
 			Pid: 1, Tid: tids[sp.Track], Args: args,
 		})
 	}
-
-	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	for i, ev := range events {
-		if i > 0 {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	return WriteChrome(w, process, threads, events)
 }
 
 // SortWallSpans orders spans by start time, then track, then name —

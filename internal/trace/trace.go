@@ -3,7 +3,9 @@
 // memory load factor — and renders them as CSV for external plotting.
 // It exists to make transient behaviour (the Swift sawtooth, burst
 // onsets, antagonist arrival) observable, where the Results summary only
-// reports steady-state aggregates.
+// reports steady-state aggregates. The package also owns the one Chrome
+// trace_event writer, WriteChrome, that every trace exporter renders
+// through.
 package trace
 
 import (
