@@ -33,10 +33,12 @@ check: check-tests bench-compare bench-warm bench-serve bench-cold
 # runtime, and a 1x smoke pass over the engine benchmarks so a compile
 # break in the hot-path benches fails CI. bench/ is its own module, so
 # the root `./...` never compiles it; vetting it catches a change to an
-# API the benchmark calls.
+# API the benchmark calls, and its smoke test (about 20 s, offline)
+# catches a change to what that API returns, such as cluster.Stats.
 check-tests:
 	$(GO) vet ./...
 	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 	$(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=2 ./internal/runner/ ./internal/runcache/ ./internal/observatory/
 	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/sim/ ./internal/pkt/

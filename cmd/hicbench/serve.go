@@ -240,16 +240,14 @@ func runServe(hosts int, tol float64) (serveBench, error) {
 			sb.SingleHash, sb.ColdHash, sb.WarmHash, sb.TracedHash)
 	}
 
-	// Federation contract: the per-worker counters the coordinator
-	// serves on /metrics sum to the merged queries' counters (both fold
+	// Federation contract: every per-worker counter the coordinator
+	// serves on /metrics sums to the merged queries' counter (both fold
 	// the same accepted partials, so any drift is lost or
 	// double-counted attribution).
-	merged := []struct {
-		name string
-		want float64
-	}{
-		{"hic_worker_hosts_done_total", float64(cold.Stats.Hosts + warm.Stats.Hosts + traced.Stats.Hosts)},
-		{"hic_worker_simulated_total", float64(cold.Stats.Simulated + warm.Stats.Simulated + traced.Stats.Simulated)},
+	var merged cluster.Stats
+	for _, res := range []*serve.QueryResult{cold, warm, traced} {
+		merged.AddExec(res.Stats)
+		merged.Hosts += res.Stats.Hosts
 	}
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -261,16 +259,16 @@ func runServe(hosts int, tol float64) (serveBench, error) {
 		return sb, fmt.Errorf("parsing coordinator metrics: %w", err)
 	}
 	sb.FedSumMatch = true
-	for _, m := range merged {
+	merged.Each(func(name string, want uint64) {
 		var sum float64
-		for _, s := range doc.Find(m.name) {
+		for _, s := range doc.Find("hic_worker_" + name) {
 			sum += s.Value
 		}
-		if sum != m.want {
+		if sum != float64(want) {
 			sb.FedSumMatch = false
-			fmt.Fprintf(os.Stderr, "hicbench: WARNING: federated sum(%s) = %g, want %g\n",
-				m.name, sum, m.want)
+			fmt.Fprintf(os.Stderr, "hicbench: WARNING: federated sum(hic_worker_%s) = %g, want %d\n",
+				name, sum, want)
 		}
-	}
+	})
 	return sb, nil
 }

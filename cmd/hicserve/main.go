@@ -349,8 +349,7 @@ func writeTrace(path string, res *serve.QueryResult) error {
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteChromeWallSpans(f, "hicserve query "+res.TraceID,
-		serve.WallSpans(res.Trace)); err != nil {
+	if err := trace.WriteChromeWallSpans(f, "hicserve query "+res.TraceID, res.Trace); err != nil {
 		f.Close()
 		return err
 	}

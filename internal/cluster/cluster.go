@@ -122,34 +122,52 @@ func (cfg Config) windows() (warm, meas sim.Duration) {
 	return warm, meas
 }
 
-// simulate is the fleet's pure-DES executor. It counts the simulations
-// actually executed (cache hits and collapsed duplicates never reach
-// it) and, with an observatory, attaches the sampler and memoizes the
-// host's report under the scenario key, so a dedup-collapsed host
-// replays it.
-type simulate struct {
-	n    *atomic.Uint64
+// fleetExec is the executor every single-window host runs through. It
+// counts the plans actually run: a host served by the run cache or
+// collapsed by singleflight never reaches it. With no routing executor
+// it runs pure DES and, with an observatory, attaches the sampler and
+// memoizes the host's report under the scenario key, so a
+// dedup-collapsed host replays it.
+type fleetExec struct {
+	exec core.Executor
 	obsv *observatory.Collector
+	ran  atomic.Uint64
 }
 
-func (s simulate) Plan(p core.Params) (string, func(*runner.Arena) (core.Results, error), error) {
-	return core.SimVersion, func(a *runner.Arena) (core.Results, error) {
-		s.n.Add(1)
-		if s.obsv == nil {
+func (f *fleetExec) Plan(p core.Params) (string, func(*runner.Arena) (core.Results, error), error) {
+	if f.exec == nil {
+		return core.SimVersion, f.simulate(p), nil
+	}
+	version, run, err := f.exec.Plan(p)
+	if err != nil {
+		return "", nil, err
+	}
+	return version, func(a *runner.Arena) (core.Results, error) {
+		f.ran.Add(1)
+		return run(a)
+	}, nil
+}
+
+// simulate is the pure-DES plan. Only it captures p, so a routed plan
+// does not move the scenario to the heap.
+func (f *fleetExec) simulate(p core.Params) func(*runner.Arena) (core.Results, error) {
+	return func(a *runner.Arena) (core.Results, error) {
+		f.ran.Add(1)
+		if f.obsv == nil {
 			return core.RunOn(p, a)
 		}
 		var rep *observatory.HostReport
 		res, err := core.Simulate(p, a, func(tb *host.Testbed, p core.Params) core.Results {
-			mon := observatory.Attach(tb, s.obsv.SamplerConfig())
+			mon := observatory.Attach(tb, f.obsv.SamplerConfig())
 			res := tb.Run(p.Warmup, p.Measure)
 			rep = mon.Report()
 			return res
 		})
 		if err == nil {
-			s.obsv.Memo(p.CacheKey(), rep)
+			f.obsv.Memo(p.CacheKey(), rep)
 		}
 		return res, err
-	}, nil
+	}
 }
 
 // runWindows simulates a multi-window host: one testbed, consecutive
@@ -441,35 +459,15 @@ func InstallRoster(cfg Config, r *fidelity.Router) {
 }
 
 // RouterDelta converts a router counter delta (after minus before) into
-// the execution-accounting fields of Stats. RunRange and serve's
-// prefetch leases share it so router work folds identically into fleet
-// accounting wherever it ran. Max-style fields (audit maxima) carry the
-// after-side value: counters only grow, so the lifetime max is correct
-// for any window that includes the excursion.
+// the execution accounting of Stats. RunRange and serve's prefetch
+// leases share it so router work folds identically into fleet
+// accounting wherever it ran: every DES execution (routed point or
+// calibration anchor) is a simulation, and a point served from a
+// coinciding anchor's memoized result was not re-simulated, so it
+// counts with the dedup collapses.
 func RouterDelta(before, after fidelity.Counters) Stats {
-	var s Stats
-	s.Simulated = (after.DESRouted - before.DESRouted) + (after.AnchorRuns - before.AnchorRuns)
-	s.FluidRouted = after.FluidRouted - before.FluidRouted
-	s.EarlyStopped = after.EarlyStopped - before.EarlyStopped
-	s.AnchorRuns = after.AnchorRuns - before.AnchorRuns
-	s.Audited = after.Audited - before.Audited
-	s.AuditOverTol = after.AuditOverTol - before.AuditOverTol
-	s.AuditMaxErr = after.AuditMaxErr
-	s.AnchorTransferred = after.AnchorTransferred - before.AnchorTransferred
-	s.AnchorRefined = after.AnchorRefined - before.AnchorRefined
-	s.KneeProbes = after.KneeProbes - before.KneeProbes
-	s.KneeBypassed = after.KneeBypassed - before.KneeBypassed
-	// Points served from a coinciding anchor's memoized result were
-	// not re-simulated — account them with the dedup collapses.
-	s.Collapsed = after.AnchorReused - before.AnchorReused
-	s.AnchorLoaded = after.AnchorLoaded - before.AnchorLoaded
-	s.AnchorPersisted = after.AnchorPersisted - before.AnchorPersisted
-	s.WarmStarted = after.WarmStarted - before.WarmStarted
-	s.WarmCheckpoints = after.WarmCheckpoints - before.WarmCheckpoints
-	s.WarmAudited = after.WarmAudited - before.WarmAudited
-	s.WarmAuditOverTol = after.WarmAuditOverTol - before.WarmAuditOverTol
-	s.WarmAuditMaxErr = after.WarmAuditMaxErr
-	return s
+	d := after.Sub(before)
+	return Stats{Simulated: d.DESRouted + d.AnchorRuns, Collapsed: d.AnchorReused, Counters: d}
 }
 
 // RunRange is RunStream restricted to hosts [lo, hi) of the fleet: the
@@ -532,13 +530,9 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 	} else if !cfg.NoDedup && cache == nil {
 		flight = runcache.NewFlight(true)
 	}
-	var cacheBefore runcache.Stats
-	if cache != nil {
-		cacheBefore = cache.Stats()
-	}
 	var router *fidelity.Router
 	var routerBefore fidelity.Counters
-	if exec != nil {
+	if windows == 1 {
 		if r, ok := exec.(*fidelity.Router); ok {
 			router = r
 			routerBefore = r.Counters()
@@ -561,12 +555,7 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 	if pool == nil {
 		pool = runner.Shared()
 	}
-	var simulated atomic.Uint64
-	if exec == nil {
-		// An executor's own counters account its executions; the
-		// fleet's pure-DES executor counts into simulated.
-		exec = simulate{n: &simulated, obsv: obsv}
-	}
+	fleet := &fleetExec{exec: exec, obsv: obsv}
 	agg := newAggregator()
 	err := runner.MapOrdered(pool, n,
 		func(i int, a *runner.Arena) (hostOut, error) {
@@ -586,7 +575,7 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 			}
 			p, meta := HostScenario(cfg, host)
 			if windows == 1 {
-				r, err := core.RunVia(exec, p, cache, flight, a)
+				r, err := core.RunVia(fleet, p, cache, flight, a)
 				if err != nil {
 					return hostOut{}, err
 				}
@@ -600,7 +589,6 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 				meta.DropRate = r.DropRatePct / 100
 				return hostOut{pts: []Point{meta}, rep: rep}, nil
 			}
-			simulated.Add(1)
 			return runWindows(p, meta, windows, obsv, a)
 		},
 		func(i int, out hostOut) error {
@@ -624,24 +612,21 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 	}
 
 	s := agg.stats()
-	s.Simulated = simulated.Load()
-	if router != nil {
-		d := RouterDelta(routerBefore, router.Counters())
-		s.Simulated += d.Simulated
-		s.Collapsed += d.Collapsed
-		s.FluidRouted, s.EarlyStopped, s.AnchorRuns = d.FluidRouted, d.EarlyStopped, d.AnchorRuns
-		s.Audited, s.AuditOverTol, s.AuditMaxErr = d.Audited, d.AuditOverTol, d.AuditMaxErr
-		s.AnchorTransferred, s.AnchorRefined = d.AnchorTransferred, d.AnchorRefined
-		s.KneeProbes, s.KneeBypassed = d.KneeProbes, d.KneeBypassed
-		s.AnchorLoaded, s.AnchorPersisted = d.AnchorLoaded, d.AnchorPersisted
-		s.WarmStarted, s.WarmCheckpoints = d.WarmStarted, d.WarmCheckpoints
-		s.WarmAudited, s.WarmAuditOverTol, s.WarmAuditMaxErr = d.WarmAudited, d.WarmAuditOverTol, d.WarmAuditMaxErr
+	if windows > 1 {
+		// Multi-window hosts always simulate in full and never collapse.
+		s.Simulated = uint64(n)
+	} else {
+		// A host whose plan never ran was served by the run cache or
+		// collapsed by singleflight.
+		ran := fleet.ran.Load()
+		s.Simulated, s.Collapsed = ran, uint64(n)-ran
 	}
-	if flight != nil {
-		s.Collapsed += flight.Collapses()
-	} else if cache != nil {
-		after := cache.Stats()
-		s.Collapsed += (after.Hits - cacheBefore.Hits) + (after.Collapses - cacheBefore.Collapses)
+	if router != nil {
+		// The router's own counters account its executions (anchors
+		// included); anchor-reused hosts ran a plan but no simulation.
+		d := RouterDelta(routerBefore, router.Counters())
+		s.Simulated, s.Counters = d.Simulated, d.Counters
+		s.Collapsed += d.Collapsed
 	}
 	if cfg.Cache != nil && (windows > 1 || obsv != nil) {
 		s.CacheSkipped = n
@@ -675,94 +660,47 @@ type Stats struct {
 	DropRateP99    float64
 
 	// Simulated counts simulations actually executed (including fidelity
-	// anchor and audit runs); Collapsed counts hosts served without
-	// simulating (singleflight dedup or run-cache hits). CacheSkipped
-	// counts hosts that bypassed a configured cache because
-	// WindowsPerHost > 1. Zero for plain Summarize calls.
+	// anchor and audit runs); Collapsed counts single-window hosts served
+	// without simulating (singleflight dedup, run-cache hits, or a
+	// coinciding anchor's memoized result). CacheSkipped counts hosts
+	// that bypassed a configured cache because WindowsPerHost > 1. Zero
+	// for plain Summarize calls.
 	Simulated    uint64
 	Collapsed    uint64
 	CacheSkipped int
 
-	// Fidelity routing accounting, non-zero only when Config.Exec is a
-	// *fidelity.Router: FluidRouted hosts were served by the calibrated
-	// fluid solver, EarlyStopped DES runs terminated at steady state,
-	// AnchorRuns calibration anchors were simulated, and Audited
-	// fluid-routed hosts were shadow-run under DES (AuditMaxErr is the
-	// largest observed fluid-vs-DES error, AuditOverTol how many audits
-	// exceeded the router's tolerance).
-	FluidRouted  uint64
-	EarlyStopped uint64
-	AnchorRuns   uint64
-	Audited      uint64
-	AuditOverTol uint64
-	AuditMaxErr  float64
-
-	// Cold-path acceleration accounting (see fidelity.Counters):
-	// AnchorTransferred anchor tiers were borrowed from a calibrated
-	// neighbor signature instead of simulated, AnchorRefined were re-run
-	// by a borrowing signature because the transfer residual was too
-	// high, KneeProbes bisection probes located regime boundaries, and
-	// KneeBypassed knee-band hosts were fluid-routed because the located
-	// knee cleared them.
-	AnchorTransferred uint64
-	AnchorRefined     uint64
-	KneeProbes        uint64
-	KneeBypassed      uint64
-
-	// Cross-run warm-start accounting (non-zero only with -warm):
-	// AnchorLoaded anchors/noise tiers were served from the persistent
-	// warm store, AnchorPersisted were computed here and written back,
-	// WarmStarted DES hosts ran from a persisted checkpoint,
-	// WarmCheckpoints converged snapshots were captured, and WarmAudited
-	// warm-startable hosts were cold-re-run to measure warm-start error
-	// (WarmAuditMaxErr the largest observed, WarmAuditOverTol how many
-	// exceeded the router's tolerance).
-	AnchorLoaded     uint64
-	AnchorPersisted  uint64
-	WarmStarted      uint64
-	WarmCheckpoints  uint64
-	WarmAudited      uint64
-	WarmAuditOverTol uint64
-	WarmAuditMaxErr  float64
+	// Counters is the fidelity router's execution accounting over the
+	// run (see fidelity.Counters), non-zero only when Config.Exec is a
+	// *fidelity.Router.
+	fidelity.Counters
 }
 
-// CounterSample is one named execution counter of a Stats, spelled as
-// a Prometheus series suffix ("simulated_total") so federating layers
-// (the serve coordinator's per-worker hic_worker_* fold) can consume
-// the enumeration without knowing the field list.
-type CounterSample struct {
-	Name  string
-	Value float64
+// Each enumerates the summable execution-accounting counters in a fixed
+// order, each spelled as a Prometheus series suffix ("simulated_total")
+// so federating layers (the serve coordinator's per-worker hic_worker_*
+// fold) consume it without knowing the field list: the fleet's own
+// hosts_done, simulated, collapsed and cache_skipped, then the router's
+// ledger. Scatter statistics and the audit maxima are deliberately
+// absent: only values where sum-over-shards equals the merged query's
+// value belong here (the invariant AddExec preserves), so a consumer
+// folding per-worker samples can assert they add up to the merged
+// totals.
+func (s Stats) Each(emit func(name string, v uint64)) {
+	emit("hosts_done_total", uint64(s.Hosts))
+	emit("simulated_total", s.Simulated)
+	emit("collapsed_total", s.Collapsed)
+	emit("cache_skipped_total", uint64(s.CacheSkipped))
+	s.Counters.Each(emit)
 }
 
-// CounterSamples enumerates the summable execution-accounting counters
-// in a fixed order. Scatter statistics and the audit maxima are
-// deliberately absent: only values where sum-over-shards equals the
-// merged query's value belong here (the same invariant sumStats in
-// internal/serve preserves), so a consumer folding per-worker samples
-// can assert they add up to the merged totals.
-func (s Stats) CounterSamples() []CounterSample {
-	return []CounterSample{
-		{"hosts_done_total", float64(s.Hosts)},
-		{"simulated_total", float64(s.Simulated)},
-		{"collapsed_total", float64(s.Collapsed)},
-		{"cache_skipped_total", float64(s.CacheSkipped)},
-		{"fluid_routed_total", float64(s.FluidRouted)},
-		{"early_stopped_total", float64(s.EarlyStopped)},
-		{"anchor_runs_total", float64(s.AnchorRuns)},
-		{"audited_total", float64(s.Audited)},
-		{"audit_over_tol_total", float64(s.AuditOverTol)},
-		{"anchor_transferred_total", float64(s.AnchorTransferred)},
-		{"anchor_refined_total", float64(s.AnchorRefined)},
-		{"knee_probes_total", float64(s.KneeProbes)},
-		{"knee_bypassed_total", float64(s.KneeBypassed)},
-		{"anchor_loaded_total", float64(s.AnchorLoaded)},
-		{"anchor_persisted_total", float64(s.AnchorPersisted)},
-		{"warm_started_total", float64(s.WarmStarted)},
-		{"warm_checkpoints_total", float64(s.WarmCheckpoints)},
-		{"warm_audited_total", float64(s.WarmAudited)},
-		{"warm_audit_over_tol_total", float64(s.WarmAuditOverTol)},
-	}
+// AddExec adds o's execution accounting into s. Scatter statistics are
+// left alone: they are recomputed from the folded points, not summed
+// (range-local quantiles do not merge).
+func (s *Stats) AddExec(o Stats) {
+	s.Simulated += o.Simulated
+	s.Collapsed += o.Collapsed
+	s.CacheSkipped += o.CacheSkipped
+	s.Counters = s.Counters.Add(o.Counters)
 }
 
 // aggregator folds points into Stats one at a time — the online path

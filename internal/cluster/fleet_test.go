@@ -404,25 +404,31 @@ func TestRunRangeValidation(t *testing.T) {
 // reproduce the first pass byte-for-byte. Routing decisions therefore
 // cannot depend on what happened to be calibrated when a point
 // arrived — the regression this guards is anchor-coincident points
-// fluid-routing on a cold pass but anchor-reusing on a warm one.
+// fluid-routing on a cold pass but anchor-reusing on a warm one. A third
+// pass with a fresh router pins the fleet accounting over a shared
+// store: every pass adds up to the host count, and a pass the store
+// serves entirely collapses every host and nothing more.
 func TestFleetAutoRouterRerunDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a calibrated fleet twice")
+		t.Skip("runs a calibrated fleet three times")
 	}
 	store, err := runcache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Hosts: 32, Seed: 1, Warmup: 2 * sim.Millisecond, Measure: 3 * sim.Millisecond, Cache: store}
-	router, err := fidelity.New(fidelity.Config{
-		Mode: fidelity.ModeAuto, Tol: 0.08, EarlyStop: true,
-		Cache: store, AnchorSeeds: SeedPool(cfg),
-	})
-	if err != nil {
-		t.Fatal(err)
+	newRouter := func() *fidelity.Router {
+		router, err := fidelity.New(fidelity.Config{
+			Mode: fidelity.ModeAuto, Tol: 0.08, EarlyStop: true,
+			Cache: store, AnchorSeeds: SeedPool(cfg),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return router
 	}
-	cfg.Exec = router
-	run := func() ([]Point, Stats) {
+	cfg.Exec = newRouter()
+	run := func(pass string) ([]Point, Stats) {
 		var pts []Point
 		st, err := RunStream(cfg, func(p Point) error {
 			pts = append(pts, p)
@@ -431,10 +437,16 @@ func TestFleetAutoRouterRerunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The host identity hiccluster -v prints: Collapsed counts hosts,
+		// never the router's own lookups through the shared store.
+		if got := st.Simulated - st.AnchorRuns + st.FluidRouted + st.Collapsed; got != 32 {
+			t.Errorf("%s pass: sim %d - anchors %d + fluid %d + collapsed %d = %d, want 32 hosts",
+				pass, st.Simulated, st.AnchorRuns, st.FluidRouted, st.Collapsed, got)
+		}
 		return pts, st
 	}
-	cold, cs := run()
-	warm, ws := run()
+	cold, cs := run("cold")
+	warm, ws := run("warm")
 	if fleetHash(cold) != fleetHash(warm) {
 		for i := range cold {
 			if cold[i] != warm[i] {
@@ -447,6 +459,12 @@ func TestFleetAutoRouterRerunDeterministic(t *testing.T) {
 	}
 	if ws.AnchorRuns != 0 || ws.Simulated != 0 {
 		t.Errorf("warm pass re-executed: %d anchors, %d simulations (want 0, 0)", ws.AnchorRuns, ws.Simulated)
+	}
+	// A fresh router re-calibrates from the store: every host and every
+	// calibration lookup hits, and only the hosts count as collapsed.
+	cfg.Exec = newRouter()
+	if _, fs := run("fresh-router"); fs.Collapsed != 32 {
+		t.Errorf("fresh-router pass: collapsed %d, want all 32 hosts (every result is in the store)", fs.Collapsed)
 	}
 }
 

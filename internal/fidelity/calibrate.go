@@ -112,7 +112,7 @@ func (r *Router) sigFor(p core.Params) *sigCalib {
 func (r *Router) runAnchor(ap core.Params) (core.Results, error) {
 	version := r.desVersion()
 	compute := func() (core.Results, error) {
-		r.anchorRuns.Add(1)
+		r.tally(func(c *Counters) { c.AnchorRuns++ })
 		return core.Simulate(ap, nil, r.drive(false))
 	}
 	canonical := ap.Canonical()

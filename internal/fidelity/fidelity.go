@@ -67,7 +67,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"hic/internal/core"
 	"hic/internal/fluid"
@@ -232,6 +231,65 @@ type Counters struct {
 	WarmAuditMaxErr  float64
 }
 
+// ledger is the one list of summable counters: each uint64 field of
+// Counters with its metric series suffix, in exposition order. Add, Sub
+// and Each walk it, so a new counter is one field plus one row here
+// (TestLedgerCoversCounters pins the table against the struct).
+var ledger = [...]struct {
+	name  string
+	field func(*Counters) *uint64
+}{
+	{"fluid_routed_total", func(c *Counters) *uint64 { return &c.FluidRouted }},
+	{"des_routed_total", func(c *Counters) *uint64 { return &c.DESRouted }},
+	{"early_stopped_total", func(c *Counters) *uint64 { return &c.EarlyStopped }},
+	{"knee_forced_total", func(c *Counters) *uint64 { return &c.KneeForced }},
+	{"anchor_runs_total", func(c *Counters) *uint64 { return &c.AnchorRuns }},
+	{"anchor_reused_total", func(c *Counters) *uint64 { return &c.AnchorReused }},
+	{"anchor_transferred_total", func(c *Counters) *uint64 { return &c.AnchorTransferred }},
+	{"anchor_refined_total", func(c *Counters) *uint64 { return &c.AnchorRefined }},
+	{"knee_probes_total", func(c *Counters) *uint64 { return &c.KneeProbes }},
+	{"knee_bypassed_total", func(c *Counters) *uint64 { return &c.KneeBypassed }},
+	{"audited_total", func(c *Counters) *uint64 { return &c.Audited }},
+	{"audit_over_tol_total", func(c *Counters) *uint64 { return &c.AuditOverTol }},
+	{"anchor_loaded_total", func(c *Counters) *uint64 { return &c.AnchorLoaded }},
+	{"anchor_persisted_total", func(c *Counters) *uint64 { return &c.AnchorPersisted }},
+	{"warm_checkpoints_total", func(c *Counters) *uint64 { return &c.WarmCheckpoints }},
+	{"warm_started_total", func(c *Counters) *uint64 { return &c.WarmStarted }},
+	{"warm_audited_total", func(c *Counters) *uint64 { return &c.WarmAudited }},
+	{"warm_audit_over_tol_total", func(c *Counters) *uint64 { return &c.WarmAuditOverTol }},
+}
+
+// Add returns c plus o: counters sum, and each audit maximum is the
+// larger of the two.
+func (c Counters) Add(o Counters) Counters {
+	for _, f := range ledger {
+		*f.field(&c) += *f.field(&o)
+	}
+	c.AuditMaxErr = max(c.AuditMaxErr, o.AuditMaxErr)
+	c.WarmAuditMaxErr = max(c.WarmAuditMaxErr, o.WarmAuditMaxErr)
+	return c
+}
+
+// Sub returns the counters accumulated since before. The audit maxima
+// keep c's (the after side's) value: counters only grow, so the
+// lifetime maximum is correct for any window that includes the
+// excursion.
+func (c Counters) Sub(before Counters) Counters {
+	for _, f := range ledger {
+		*f.field(&c) -= *f.field(&before)
+	}
+	return c
+}
+
+// Each calls emit with every summable counter and its series suffix
+// ("fluid_routed_total"), in the ledger's fixed order. The audit maxima
+// are gauges, not sums, and are not enumerated.
+func (c Counters) Each(emit func(name string, v uint64)) {
+	for _, f := range ledger {
+		emit(f.name, *f.field(&c))
+	}
+}
+
 // Router implements core.Executor. It is safe for concurrent use by
 // the worker pool; one Router should be shared across a whole sweep or
 // fleet so calibration is done once per signature.
@@ -257,26 +315,10 @@ type Router struct {
 	// residual measurement is skipped under the hook.
 	kneeProbeFn func(core.Params) (core.Results, error)
 
-	fluidRouted       atomic.Uint64
-	desRouted         atomic.Uint64
-	kneeForced        atomic.Uint64
-	anchorRuns        atomic.Uint64
-	anchorReused      atomic.Uint64
-	anchorTransferred atomic.Uint64
-	anchorRefined     atomic.Uint64
-	kneeProbes        atomic.Uint64
-	kneeBypassed      atomic.Uint64
-	audited           atomic.Uint64
-	auditOverTol      atomic.Uint64
-	auditMaxErr       atomicFloatMax
-
-	anchorLoaded     atomic.Uint64
-	anchorPersisted  atomic.Uint64
-	warmCheckpoints  atomic.Uint64
-	warmStarted      atomic.Uint64
-	warmAudited      atomic.Uint64
-	warmAuditOverTol atomic.Uint64
-	warmAuditMaxErr  atomicFloatMax
+	// countersMu guards counters, the execution accounting. It is a
+	// leaf lock: nothing else is acquired while it is held.
+	countersMu sync.Mutex
+	counters   Counters
 }
 
 // New validates cfg and builds a Router.
@@ -339,32 +381,20 @@ func New(cfg Config) (*Router, error) {
 
 // Counters snapshots the accounting so far.
 func (r *Router) Counters() Counters {
-	c := Counters{
-		FluidRouted:       r.fluidRouted.Load(),
-		DESRouted:         r.desRouted.Load(),
-		KneeForced:        r.kneeForced.Load(),
-		AnchorRuns:        r.anchorRuns.Load(),
-		AnchorReused:      r.anchorReused.Load(),
-		AnchorTransferred: r.anchorTransferred.Load(),
-		AnchorRefined:     r.anchorRefined.Load(),
-		KneeProbes:        r.kneeProbes.Load(),
-		KneeBypassed:      r.kneeBypassed.Load(),
-		Audited:           r.audited.Load(),
-		AuditOverTol:      r.auditOverTol.Load(),
-		AuditMaxErr:       r.auditMaxErr.Load(),
-
-		AnchorLoaded:     r.anchorLoaded.Load(),
-		AnchorPersisted:  r.anchorPersisted.Load(),
-		WarmCheckpoints:  r.warmCheckpoints.Load(),
-		WarmStarted:      r.warmStarted.Load(),
-		WarmAudited:      r.warmAudited.Load(),
-		WarmAuditOverTol: r.warmAuditOverTol.Load(),
-		WarmAuditMaxErr:  r.warmAuditMaxErr.Load(),
-	}
+	r.countersMu.Lock()
+	c := r.counters
+	r.countersMu.Unlock()
 	if r.estop != nil {
 		c.EarlyStopped = r.estop.Stopped.Load()
 	}
 	return c
+}
+
+// tally applies one accounting update under the counters lock.
+func (r *Router) tally(update func(*Counters)) {
+	r.countersMu.Lock()
+	update(&r.counters)
+	r.countersMu.Unlock()
 }
 
 // Tol reports the effective routing/audit tolerance.
@@ -374,27 +404,10 @@ func (r *Router) Tol() float64 { return r.tol }
 // live routing counters under the hic_fidelity_ prefix.
 func (r *Router) MetricsInto(emit func(name, typ string, v float64)) {
 	c := r.Counters()
-	emit("hic_fidelity_fluid_routed_total", "counter", float64(c.FluidRouted))
-	emit("hic_fidelity_des_routed_total", "counter", float64(c.DESRouted))
-	emit("hic_fidelity_early_stopped_total", "counter", float64(c.EarlyStopped))
-	emit("hic_fidelity_knee_forced_total", "counter", float64(c.KneeForced))
-	emit("hic_fidelity_anchor_runs_total", "counter", float64(c.AnchorRuns))
-	emit("hic_fidelity_anchor_reused_total", "counter", float64(c.AnchorReused))
-	emit("hic_fidelity_anchor_transferred_total", "counter", float64(c.AnchorTransferred))
-	emit("hic_fidelity_anchor_refined_total", "counter", float64(c.AnchorRefined))
-	emit("hic_fidelity_knee_probes_total", "counter", float64(c.KneeProbes))
-	emit("hic_fidelity_knee_bypassed_total", "counter", float64(c.KneeBypassed))
-	emit("hic_fidelity_audited_total", "counter", float64(c.Audited))
-	emit("hic_fidelity_audit_over_tol_total", "counter", float64(c.AuditOverTol))
+	c.Each(func(name string, v uint64) { emit("hic_fidelity_"+name, "counter", float64(v)) })
 	emit("hic_fidelity_audit_max_err", "gauge", c.AuditMaxErr)
-	emit("hic_fidelity_tol", "gauge", r.tol)
-	emit("hic_fidelity_anchor_loaded_total", "counter", float64(c.AnchorLoaded))
-	emit("hic_fidelity_anchor_persisted_total", "counter", float64(c.AnchorPersisted))
-	emit("hic_fidelity_warm_checkpoints_total", "counter", float64(c.WarmCheckpoints))
-	emit("hic_fidelity_warm_started_total", "counter", float64(c.WarmStarted))
-	emit("hic_fidelity_warm_audited_total", "counter", float64(c.WarmAudited))
-	emit("hic_fidelity_warm_audit_over_tol_total", "counter", float64(c.WarmAuditOverTol))
 	emit("hic_fidelity_warm_audit_max_err", "gauge", c.WarmAuditMaxErr)
+	emit("hic_fidelity_tol", "gauge", r.tol)
 }
 
 // WarmStore exposes the persistent warm-start store (nil when warm
@@ -459,7 +472,7 @@ func (r *Router) Plan(p core.Params) (string, func(*runner.Arena) (core.Results,
 		}
 		r.emitRoute(p, "fluid", "raw")
 		return core.FluidVersion + "+raw", func(*runner.Arena) (core.Results, error) {
-			r.fluidRouted.Add(1)
+			r.tally(func(c *Counters) { c.FluidRouted++ })
 			return pred.Results, nil
 		}, nil
 	case ModeAuto:
@@ -488,14 +501,14 @@ func (r *Router) desPlan(p core.Params, why string) (string, func(*runner.Arena)
 		// The outer funnel resolves through the cache (whose store has
 		// its own singleflight on the same key), so no extra layer here.
 		return version, func(a *runner.Arena) (core.Results, error) {
-			r.desRouted.Add(1)
+			r.tally(func(c *Counters) { c.DESRouted++ })
 			return run(a)
 		}, nil
 	}
 	key := runcache.Key(version, p.Canonical())
 	return version, func(a *runner.Arena) (core.Results, error) {
 		return r.flight.Do(key, func() (core.Results, error) {
-			r.desRouted.Add(1)
+			r.tally(func(c *Counters) { c.DESRouted++ })
 			return run(a)
 		})
 	}, nil
@@ -511,7 +524,7 @@ func (r *Router) desPlanAuto(p core.Params, why string) (string, func(*runner.Ar
 		r.logf("fidelity: anchor-reuse %s ant=%d%s", sigLabel(p), p.AntagonistCores, reason(why))
 		r.emitRoute(p, "anchor-reuse", why)
 		return r.desVersion(), func(*runner.Arena) (core.Results, error) {
-			r.anchorReused.Add(1)
+			r.tally(func(c *Counters) { c.AnchorReused++ })
 			return des, nil
 		}, nil
 	}
@@ -593,7 +606,7 @@ func (r *Router) autoPlan(p core.Params) (string, func(*runner.Arena) (core.Resu
 		r.logf("fidelity: anchor-reuse %s ant=%d", sigLabel(p), p.AntagonistCores)
 		r.emitRoute(p, "anchor-reuse", "")
 		return r.desVersion(), func(*runner.Arena) (core.Results, error) {
-			r.anchorReused.Add(1)
+			r.tally(func(c *Counters) { c.AnchorReused++ })
 			return des, nil
 		}, nil
 	}
@@ -603,7 +616,7 @@ func (r *Router) autoPlan(p core.Params) (string, func(*runner.Arena) (core.Resu
 		} else if handled {
 			return version, run, nil
 		}
-		r.kneeForced.Add(1)
+		r.tally(func(c *Counters) { c.KneeForced++ })
 		return r.desPlanAuto(p, why)
 	}
 	adj, errBound, calV, ok, err := r.calibrate(p, pred)
@@ -635,12 +648,16 @@ func (r *Router) fluidPlan(p core.Params, adj core.Results, calV string) (string
 				return core.Results{}, err
 			}
 			e := observedError(adj, des)
-			r.audited.Add(1)
-			r.desRouted.Add(1)
-			r.auditMaxErr.Max(e)
 			over := e > r.tol
+			r.tally(func(c *Counters) {
+				c.Audited++
+				c.DESRouted++
+				c.AuditMaxErr = max(c.AuditMaxErr, e)
+				if over {
+					c.AuditOverTol++
+				}
+			})
 			if over {
-				r.auditOverTol.Add(1)
 				r.logf("fidelity: AUDIT OVER TOL %s ant=%d err=%.3f (fluid %.2f Gbps/%.3f%% vs DES %.2f Gbps/%.3f%%)",
 					sigLabel(p), p.AntagonistCores, e,
 					adj.AppThroughputGbps, adj.DropRatePct, des.AppThroughputGbps, des.DropRatePct)
@@ -662,7 +679,7 @@ func (r *Router) fluidPlan(p core.Params, adj core.Results, calV string) (string
 
 	r.emitRoute(p, "fluid", "")
 	return calV, func(*runner.Arena) (core.Results, error) {
-		r.fluidRouted.Add(1)
+		r.tally(func(c *Counters) { c.FluidRouted++ })
 		return adj, nil
 	}, nil
 }
@@ -728,20 +745,3 @@ func seedsLabel(seeds []uint64) string {
 	}
 	return strings.Join(parts, ",")
 }
-
-// atomicFloatMax is a lock-free running maximum.
-type atomicFloatMax struct{ bits atomic.Uint64 }
-
-func (m *atomicFloatMax) Max(v float64) {
-	for {
-		old := m.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if m.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-func (m *atomicFloatMax) Load() float64 { return math.Float64frombits(m.bits.Load()) }

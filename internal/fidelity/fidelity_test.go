@@ -223,3 +223,57 @@ func TestSignatureGroupsSeedsAndAnts(t *testing.T) {
 		t.Error("signature should distinguish Threads")
 	}
 }
+
+// TestLedgerCoversCounters fails when a uint64 field is added to
+// Counters without a ledger row: the counter would silently drop out of
+// Add, Sub, the hic_fidelity_* exposition and every fleet and serve
+// total built on them.
+func TestLedgerCoversCounters(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	var want []uint64
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(uint64(i + 1))
+			want = append(want, uint64(i+1))
+		}
+	}
+	got := map[uint64]string{}
+	names := map[string]bool{}
+	c.Each(func(name string, n uint64) {
+		if prev, dup := got[n]; dup {
+			t.Errorf("ledger rows %q and %q read the same field", prev, name)
+		}
+		if names[name] {
+			t.Errorf("ledger series %q listed twice", name)
+		}
+		got[n], names[name] = name, true
+	})
+	for _, n := range want {
+		if _, ok := got[n]; !ok {
+			t.Errorf("Counters field %s has no ledger row", v.Type().Field(int(n-1)).Name)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("ledger has %d rows, Counters has %d uint64 fields", len(got), len(want))
+	}
+}
+
+// TestCountersAddSub: Add sums counters and keeps the larger audit
+// maxima; Sub undoes Add on the counters and keeps the after side's
+// maxima.
+func TestCountersAddSub(t *testing.T) {
+	a := Counters{FluidRouted: 3, KneeForced: 1, WarmAuditOverTol: 2, AuditMaxErr: 0.04, WarmAuditMaxErr: 0.01}
+	b := Counters{FluidRouted: 5, AnchorReused: 7, AuditMaxErr: 0.02, WarmAuditMaxErr: 0.03}
+	sum := a.Add(b)
+	want := Counters{FluidRouted: 8, KneeForced: 1, AnchorReused: 7, WarmAuditOverTol: 2,
+		AuditMaxErr: 0.04, WarmAuditMaxErr: 0.03}
+	if sum != want {
+		t.Fatalf("Add = %+v, want %+v", sum, want)
+	}
+	d := sum.Sub(a)
+	b.AuditMaxErr, b.WarmAuditMaxErr = sum.AuditMaxErr, sum.WarmAuditMaxErr
+	if d != b {
+		t.Fatalf("Sub = %+v, want %+v", d, b)
+	}
+}

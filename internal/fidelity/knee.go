@@ -103,7 +103,7 @@ func (r *Router) kneePlan(p core.Params, pred fluid.Prediction, why string) (str
 	if widened > routeMargin*r.tol {
 		return "", nil, false, nil
 	}
-	r.kneeBypassed.Add(1)
+	r.tally(func(c *Counters) { c.KneeBypassed++ })
 	r.logf("fidelity: knee-bypass %s ant=%d (%s; widened bound %.3f)",
 		sigLabel(p), p.AntagonistCores, why, widened)
 	version, run, perr := r.fluidPlan(p, adj, calV)
@@ -201,7 +201,7 @@ func (r *Router) kneeProbe(s *sigCalib, p core.Params, t int, ks *kneeState) (bo
 	}
 	var des core.Results
 	if r.kneeProbeFn != nil {
-		r.kneeProbes.Add(1)
+		r.tally(func(c *Counters) { c.KneeProbes++ })
 		if des, err = r.kneeProbeFn(pt); err != nil {
 			return false, err
 		}
@@ -212,7 +212,7 @@ func (r *Router) kneeProbe(s *sigCalib, p core.Params, t int, ks *kneeState) (bo
 			return false, aerr
 		}
 		if fresh {
-			r.kneeProbes.Add(1)
+			r.tally(func(c *Counters) { c.KneeProbes++ })
 		}
 		des = a.des
 		if !r.gridTier(t) {

@@ -114,7 +114,7 @@ func (r *Router) loadSig(s *sigCalib, p core.Params) {
 				}
 			}
 			if n > 0 {
-				r.anchorLoaded.Add(uint64(n))
+				r.tally(func(c *Counters) { c.AnchorLoaded += uint64(n) })
 				r.logf("fidelity: loaded %d persisted anchors/noise tiers for %s", n, sigLabel(p))
 			}
 		}
@@ -169,5 +169,5 @@ func (r *Router) saveCalib(s *sigCalib, p core.Params, newItems int) {
 		r.logf("fidelity: persisting calibration: %v", err)
 		return
 	}
-	r.anchorPersisted.Add(uint64(newItems))
+	r.tally(func(c *Counters) { c.AnchorPersisted += uint64(newItems) })
 }

@@ -394,8 +394,7 @@ func (r *Router) buildXfer(s *sigCalib, p core.Params, asn *xferAssign) (*xferCu
 			c.resid[i] = donorResid
 		}
 		c.label = r.ownCalVersion() + fmt.Sprintf("+xfer(d=%s,pure)", donorHash)
-		r.anchorTransferred.Add(uint64(len(ants) - 1))
-		r.anchorRefined.Add(1)
+		r.tally(func(c *Counters) { c.AnchorTransferred += uint64(len(ants) - 1); c.AnchorRefined++ })
 		r.logf("fidelity: transfer %s ← %s dist=%.2f pure (donor resid %.3f, own top noise %.3f)",
 			sigLabel(p), donorHash, asn.dist, donorResid, ownTop)
 		return c, nil
@@ -496,8 +495,10 @@ func (r *Router) buildXfer(s *sigCalib, p core.Params, asn *xferAssign) (*xferCu
 	}
 	sort.Ints(ownTiers)
 	c.label = r.ownCalVersion() + fmt.Sprintf("+xfer(d=%s,own=%v)", donorHash, ownTiers)
-	r.anchorTransferred.Add(uint64(transferred))
-	r.anchorRefined.Add(uint64(1 + len(probeTiers) + len(refined)))
+	r.tally(func(c *Counters) {
+		c.AnchorTransferred += uint64(transferred)
+		c.AnchorRefined += uint64(1 + len(probeTiers) + len(refined))
+	})
 	r.logf("fidelity: transfer %s ← %s dist=%.2f probed (%d borrowed, %d refined, probe resid %v)",
 		sigLabel(p), donorHash, asn.dist, transferred, len(probeTiers)+len(refined), probeResid)
 	return c, nil

@@ -204,7 +204,7 @@ func (r *Router) recordCkpt(p core.Params, snap host.Snapshot) {
 		r.logf("fidelity: persisting checkpoint: %v", err)
 		return
 	}
-	r.warmCheckpoints.Add(1)
+	r.tally(func(c *Counters) { c.WarmCheckpoints++ })
 }
 
 func sortCkpts(cs []persistedCkpt) {
@@ -257,11 +257,15 @@ func (r *Router) warmPlan(p core.Params, why string) (version string, run func(*
 				return des, nil
 			}
 			e := observedError(warm, des)
-			r.warmAudited.Add(1)
-			r.warmAuditMaxErr.Max(e)
 			over := e > r.tol
+			r.tally(func(c *Counters) {
+				c.WarmAudited++
+				c.WarmAuditMaxErr = max(c.WarmAuditMaxErr, e)
+				if over {
+					c.WarmAuditOverTol++
+				}
+			})
 			if over {
-				r.warmAuditOverTol.Add(1)
 				r.logf("fidelity: WARM AUDIT OVER TOL %s ant=%d err=%.3f (warm %.2f Gbps/%.3f%% vs cold %.2f Gbps/%.3f%%)",
 					sigLabel(p), p.AntagonistCores, e,
 					warm.AppThroughputGbps, warm.DropRatePct, des.AppThroughputGbps, des.DropRatePct)
@@ -285,8 +289,7 @@ func (r *Router) warmPlan(p core.Params, why string) (version string, run func(*
 	r.emitRoute(p, "warm", why)
 	version = fmt.Sprintf("%s+warm(d=%d:%d@%d,g=%s)", desV, donor.Ant, donor.Seed, int64(donor.Snap.Engine.Now), guard)
 	warmRun := func(a *runner.Arena) (core.Results, error) {
-		r.desRouted.Add(1)
-		r.warmStarted.Add(1)
+		r.tally(func(c *Counters) { c.DESRouted++; c.WarmStarted++ })
 		r.emit(obs.Event{
 			Kind:  obs.KindWarmStart,
 			Key:   sigLabel(p),
@@ -302,7 +305,7 @@ func (r *Router) warmPlan(p core.Params, why string) (version string, run func(*
 // when configured), donating the converged snapshot, with the same
 // counter accounting as a plain DES route.
 func (r *Router) runColdCaptured(p core.Params, a *runner.Arena) (core.Results, error) {
-	r.desRouted.Add(1)
+	r.tally(func(c *Counters) { c.DESRouted++ })
 	return core.Simulate(p, a, r.drive(true))
 }
 

@@ -272,8 +272,8 @@ type QueryResult struct {
 	// (QueryRequest.Trace): the assigned trace id, the collected
 	// lifecycle spans (coordinator lease envelopes + worker execution
 	// windows, sorted by start time), and the wall-clock phase
-	// breakdown derived from them. Feed Trace through serve.WallSpans
-	// into trace.WriteChromeWallSpans for Perfetto.
+	// breakdown derived from them. Feed Trace to
+	// trace.WriteChromeWallSpans for Perfetto.
 	TraceID string      `json:"trace_id,omitempty"`
 	Trace   []TraceSpan `json:"trace,omitempty"`
 	Phases  *PhaseWall  `json:"phases,omitempty"`

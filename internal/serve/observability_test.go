@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hic/internal/cluster"
+	"hic/internal/fidelity"
 	"hic/internal/obs"
 	"hic/internal/trace"
 )
@@ -97,7 +98,7 @@ func TestTracedQueryByteIdenticalWithSpans(t *testing.T) {
 	// The spans export as a loadable Chrome trace with one named thread
 	// per track.
 	var buf bytes.Buffer
-	if err := trace.WriteChromeWallSpans(&buf, "query "+traced.TraceID, WallSpans(traced.Trace)); err != nil {
+	if err := trace.WriteChromeWallSpans(&buf, "query "+traced.TraceID, traced.Trace); err != nil {
 		t.Fatalf("chrome export: %v", err)
 	}
 	var doc struct {
@@ -234,7 +235,9 @@ func TestWorkerFailureVisibility(t *testing.T) {
 // contract plus the golden exposition gate: the coordinator's /metrics
 // exposes per-worker hic_worker_* series (validated through
 // obs.ParseProm) whose per-counter sums equal the merged query's
-// counters, with label-free hic_workers_* fleet rollups agreeing.
+// counters — every counter of the cluster.Stats enumeration, each of
+// the router's also exported as hic_fidelity_* — with label-free
+// hic_workers_* fleet rollups agreeing.
 func TestFederatedMetricsSumToMergedCounters(t *testing.T) {
 	osrv := obs.NewServer(obs.Options{Warn: io.Discard})
 	h := newHarness(t, Options{Obs: osrv, LeaseTimeout: 30 * time.Second})
@@ -244,6 +247,7 @@ func TestFederatedMetricsSumToMergedCounters(t *testing.T) {
 	q.Points = false
 	q.NoCache = false // exercise the cache so collapse/hit deltas flow
 	q.RangeHosts = 3  // 8 ranges
+	q.EarlyStop = true // route through a router so its counters flow
 	res, _ := h.query(q)
 
 	resp, err := http.Get(h.ts.URL + "/metrics")
@@ -267,18 +271,26 @@ func TestFederatedMetricsSumToMergedCounters(t *testing.T) {
 		return sum
 	}
 	// Per-worker series sum to the merged query's counters.
-	for _, tc := range []struct {
-		name string
-		want float64
-	}{
-		{"hic_worker_hosts_done_total", float64(res.Stats.Hosts)},
-		{"hic_worker_simulated_total", float64(res.Stats.Simulated)},
-		{"hic_worker_collapsed_total", float64(res.Stats.Collapsed)},
-	} {
-		if got := sumOf(tc.name); got != tc.want {
-			t.Errorf("sum(%s) = %g, want %g (the merged query's counter)", tc.name, got, tc.want)
+	res.Stats.Each(func(name string, want uint64) {
+		if got := sumOf("hic_worker_" + name); got != float64(want) {
+			t.Errorf("sum(hic_worker_%s) = %g, want %d (the merged query's counter)", name, got, want)
 		}
+	})
+	if res.Stats.DESRouted == 0 || res.Stats.EarlyStopped == 0 {
+		t.Errorf("router counters did not flow: %+v", res.Stats.Counters)
 	}
+	// Every router counter is also a live hic_fidelity_* series.
+	router, err := fidelity.New(fidelity.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	router.MetricsInto(func(name, _ string, _ float64) { exported[name] = true })
+	res.Stats.Counters.Each(func(name string, _ uint64) {
+		if !exported["hic_fidelity_"+name] {
+			t.Errorf("router exposition is missing hic_fidelity_%s", name)
+		}
+	})
 	if got := sumOf("hic_worker_ranges_done_total"); got != float64(res.Ranges) {
 		t.Errorf("sum(hic_worker_ranges_done_total) = %g, want %d", got, res.Ranges)
 	}

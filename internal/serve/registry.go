@@ -34,7 +34,7 @@ type workerState struct {
 	expirations uint64
 	duplicates  uint64
 	// counters federates the worker's accepted completions:
-	// cluster.Stats counter samples plus worker-local deltas, keyed by
+	// the cluster.Stats enumeration plus worker-local deltas, keyed by
 	// hic_worker_* series suffix.
 	counters map[string]float64
 }
@@ -95,11 +95,11 @@ func (s *Server) foldCompletion(p *RangePartial, now time.Time) {
 	if ws.counters == nil {
 		ws.counters = make(map[string]float64)
 	}
-	for _, c := range p.Stats.CounterSamples() {
-		if c.Value != 0 {
-			ws.counters[c.Name] += c.Value
+	p.Stats.Each(func(name string, v uint64) {
+		if v != 0 {
+			ws.counters[name] += float64(v)
 		}
-	}
+	})
 	if d := p.Deltas; d != nil {
 		ws.counters["cache_hits_total"] += float64(d.CacheHits)
 		ws.counters["cache_misses_total"] += float64(d.CacheMisses)

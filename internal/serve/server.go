@@ -424,7 +424,7 @@ func (s *Server) handleDone(w http.ResponseWriter, r *http.Request) {
 				pc := p
 				rg.done = &pc
 				rg.worker = p.Worker
-				sumStats(&j.prefetchStats, p.Stats)
+				j.prefetchStats.AddExec(p.Stats)
 				j.prefetchLeft--
 				s.foldCompletion(&p, now)
 				s.recordLeaseSpans(j, rg, &p, now)
@@ -489,15 +489,15 @@ func (s *Server) recordLeaseSpans(j *job, rg *shardRange, p *RangePartial, now t
 		name = fmt.Sprintf("prefetch %d", p.RangeID)
 		args = map[string]float64{"signatures": float64(p.Hi - p.Lo)}
 	}
-	for _, c := range p.Stats.CounterSamples() {
-		switch c.Name {
+	p.Stats.Each(func(series string, v uint64) {
+		switch series {
 		case "simulated_total", "collapsed_total", "fluid_routed_total",
 			"anchor_runs_total", "anchor_transferred_total", "knee_probes_total":
-			if c.Value != 0 {
-				args[c.Name] = c.Value
+			if v != 0 {
+				args[series] = float64(v)
 			}
 		}
-	}
+	})
 	j.trace.span(name, track, rg.granted, now, args)
 	if p.ExecStartNs > 0 && p.ExecEndNs >= p.ExecStartNs {
 		start, end := time.Unix(0, p.ExecStartNs), time.Unix(0, p.ExecEndNs)
@@ -706,7 +706,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			utilMerged.Merge(p.Util)
 			dropMerged.Merge(p.Drop)
-			sumStats(&sum, p.Stats)
+			sum.AddExec(p.Stats)
 			workersSeen[p.Worker] = true
 			next++
 			doneRanges++
@@ -736,20 +736,14 @@ func (s *Server) finishQuery(j *job, q QueryRequest, folded []cluster.Point,
 	// Calibration performed under prefetch leases is part of the query's
 	// execution accounting even though no range contains it.
 	s.mu.Lock()
-	sumStats(&sum, j.prefetchStats)
+	sum.AddExec(j.prefetchStats)
 	prefetched := len(j.reps)
 	s.mu.Unlock()
 
 	merged := cluster.Summarize(folded)
 	// Execution accounting lives only in the partials.
-	merged.Simulated, merged.Collapsed, merged.CacheSkipped = sum.Simulated, sum.Collapsed, sum.CacheSkipped
-	merged.FluidRouted, merged.EarlyStopped, merged.AnchorRuns = sum.FluidRouted, sum.EarlyStopped, sum.AnchorRuns
-	merged.Audited, merged.AuditOverTol, merged.AuditMaxErr = sum.Audited, sum.AuditOverTol, sum.AuditMaxErr
-	merged.AnchorTransferred, merged.AnchorRefined = sum.AnchorTransferred, sum.AnchorRefined
-	merged.KneeProbes, merged.KneeBypassed = sum.KneeProbes, sum.KneeBypassed
-	merged.AnchorLoaded, merged.AnchorPersisted = sum.AnchorLoaded, sum.AnchorPersisted
-	merged.WarmStarted, merged.WarmCheckpoints = sum.WarmStarted, sum.WarmCheckpoints
-	merged.WarmAudited, merged.WarmAuditOverTol, merged.WarmAuditMaxErr = sum.WarmAudited, sum.WarmAuditOverTol, sum.WarmAuditMaxErr
+	merged.Simulated, merged.Collapsed, merged.CacheSkipped, merged.Counters =
+		sum.Simulated, sum.Collapsed, sum.CacheSkipped, sum.Counters
 
 	skew := math.Max(
 		math.Max(math.Abs(utilMerged.Mean()-merged.MeanUtilization),
@@ -779,32 +773,6 @@ func (s *Server) finishQuery(j *job, q QueryRequest, folded []cluster.Point,
 		res.Trace, res.Phases = j.trace.finish(time.Now())
 	}
 	return res
-}
-
-// sumStats adds the execution counters of one partial into the running
-// total (scatter statistics are recomputed from the folded points, not
-// summed — range-local quantiles do not merge).
-func sumStats(dst *cluster.Stats, p cluster.Stats) {
-	dst.Simulated += p.Simulated
-	dst.Collapsed += p.Collapsed
-	dst.CacheSkipped += p.CacheSkipped
-	dst.FluidRouted += p.FluidRouted
-	dst.EarlyStopped += p.EarlyStopped
-	dst.AnchorRuns += p.AnchorRuns
-	dst.Audited += p.Audited
-	dst.AuditOverTol += p.AuditOverTol
-	dst.AuditMaxErr = math.Max(dst.AuditMaxErr, p.AuditMaxErr)
-	dst.AnchorTransferred += p.AnchorTransferred
-	dst.AnchorRefined += p.AnchorRefined
-	dst.KneeProbes += p.KneeProbes
-	dst.KneeBypassed += p.KneeBypassed
-	dst.AnchorLoaded += p.AnchorLoaded
-	dst.AnchorPersisted += p.AnchorPersisted
-	dst.WarmStarted += p.WarmStarted
-	dst.WarmCheckpoints += p.WarmCheckpoints
-	dst.WarmAudited += p.WarmAudited
-	dst.WarmAuditOverTol += p.WarmAuditOverTol
-	dst.WarmAuditMaxErr = math.Max(dst.WarmAuditMaxErr, p.WarmAuditMaxErr)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -10,26 +10,9 @@ import (
 // TraceSpan is one wall-clock slice of a traced query's lifecycle, as
 // carried on the result: coordinator-observed lease envelopes plus
 // worker-reported execution windows, each attributed to a track (the
-// coordinator or one worker). It mirrors trace.WallSpan field-for-field
-// so results convert losslessly for the Chrome exporter.
-type TraceSpan struct {
-	Name    string             `json:"name"`
-	Track   string             `json:"track"`
-	StartNs int64              `json:"start_ns"`
-	EndNs   int64              `json:"end_ns"`
-	Args    map[string]float64 `json:"args,omitempty"`
-}
-
-// WallSpans converts result spans to the exporter's type, in place of a
-// shared struct (serve's wire types never leak internal/trace's).
-func WallSpans(spans []TraceSpan) []trace.WallSpan {
-	out := make([]trace.WallSpan, len(spans))
-	for i, sp := range spans {
-		out[i] = trace.WallSpan{Name: sp.Name, Track: sp.Track,
-			StartNs: sp.StartNs, EndNs: sp.EndNs, Args: sp.Args}
-	}
-	return out
-}
+// coordinator or one worker). It is the Chrome exporter's own span
+// type, so results feed trace.WriteChromeWallSpans as they are.
+type TraceSpan = trace.WallSpan
 
 // PhaseWall is a traced query's wall-clock phase breakdown, derived
 // from the spans: queue (arrival to first lease dispensed), prefetch
@@ -160,17 +143,6 @@ func (t *queryTrace) finish(now time.Time) ([]TraceSpan, *PhaseWall) {
 	ph.MergeMS = addSpan("merge", t.firstFold, now)
 
 	out := append([]TraceSpan(nil), t.spans...)
-	sortTraceSpans(out)
+	trace.SortWallSpans(out)
 	return out, ph
-}
-
-// sortTraceSpans orders spans by start, track, name — the stable order
-// results carry (and the exporter preserves).
-func sortTraceSpans(spans []TraceSpan) {
-	ws := WallSpans(spans)
-	trace.SortWallSpans(ws)
-	for i, sp := range ws {
-		spans[i] = TraceSpan{Name: sp.Name, Track: sp.Track,
-			StartNs: sp.StartNs, EndNs: sp.EndNs, Args: sp.Args}
-	}
 }

@@ -1,7 +1,7 @@
 // Wall-clock span export: the distributed-serve counterpart to the
 // sim-time series recorder. A sharded query's lifecycle (queue wait,
 // prefetch barrier, per-worker range leases, merge) is a set of
-// WallSpans collected by the coordinator; WriteChromeWallSpans renders
+// WallSpan values collected by the coordinator; WriteChromeWallSpans renders
 // them through the same trace_event writer telemetry's sim-time
 // exporter uses, so Perfetto shows the query as one process
 // with one track per span track name (the coordinator plus each
