@@ -27,9 +27,10 @@ check: check-tests bench-compare bench-warm bench-serve bench-cold
 # collector takes concurrent Note/MetricsInto reads during fleet runs),
 # an explicit non-race pass over the zero-alloc gates
 # (TestEngineSteadyStateZeroAllocs, TestPacketPathZeroAllocs,
-# TestObservatoryDisabledZeroAlloc, TestServeTraceDisabledZeroAlloc) so
-# the allocation-free hot-path, disabled-observatory, and
-# disabled-query-trace properties are enforced by name under the plain
+# TestDESPointSteadyStateZeroAllocs, TestObservatoryDisabledZeroAlloc,
+# TestServeTraceDisabledZeroAlloc) so the allocation-free engine, packet
+# path and whole-DES-point datapath, and the disabled-observatory and
+# disabled-query-trace properties, are enforced by name under the plain
 # runtime, and a 1x smoke pass over the engine benchmarks so a compile
 # break in the hot-path benches fails CI. bench/ is its own module, so
 # the root `./...` never compiles it; vetting it catches a change to an
@@ -41,7 +42,7 @@ check-tests:
 	$(GO) -C bench test ./...
 	$(GO) test -race -timeout 20m ./...
 	$(GO) test -race -count=2 ./internal/runner/ ./internal/runcache/ ./internal/observatory/
-	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/sim/ ./internal/pkt/
+	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/sim/ ./internal/pkt/ ./internal/core/
 	$(GO) test -run 'TestObservatoryDisabledZeroAlloc' -count=1 ./internal/observatory/
 	$(GO) test -run 'TestServeTraceDisabledZeroAlloc' -count=1 ./internal/serve/
 	$(GO) test -run=NONE -bench=BenchmarkEngine -benchtime=1x ./internal/sim/

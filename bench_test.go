@@ -175,8 +175,9 @@ func BenchmarkExtCCCompare(b *testing.B) {
 }
 
 // BenchmarkSinglePoint measures raw simulator speed at the paper's
-// baseline operating point (12 cores, IOMMU on): wall time per simulated
-// millisecond.
+// baseline operating point (12 cores, IOMMU on). One op is one whole
+// point built from scratch: testbed construction, 1 ms of warm-up and
+// 4 ms of measurement.
 func BenchmarkSinglePoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := core.DefaultParams(12)

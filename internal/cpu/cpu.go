@@ -75,9 +75,9 @@ type Pool struct {
 	cfg    Config
 	done   func(*pkt.Packet)
 
-	queues [][]*pkt.Packet
-	busy   []bool
-	active int // cores currently allocated to packet processing
+	queues []sim.FIFO[*pkt.Packet]
+	cores  []*coreRun // per-core in-service state; nil packet = idle
+	active int        // cores currently allocated to packet processing
 
 	epochPayload uint64 // payload bytes processed in the current epoch
 
@@ -102,13 +102,18 @@ func New(engine *sim.Engine, reg *metrics.Registry, memory *mem.Controller,
 		memory:    memory,
 		cfg:       cfg,
 		done:      done,
-		queues:    make([][]*pkt.Packet, cfg.Cores),
-		busy:      make([]bool, cfg.Cores),
+		queues:    make([]sim.FIFO[*pkt.Packet], cfg.Cores),
+		cores:     make([]*coreRun, cfg.Cores),
 		active:    cfg.Cores,
 		processed: reg.Counter("cpu.packets"),
 		payload:   reg.Counter("cpu.payload.bytes"),
 		queueGa:   reg.Gauge("cpu.queue.packets"),
 		procDelay: reg.Histogram("cpu.processing.delay.ns"),
+	}
+	for core := range p.cores {
+		r := &coreRun{pool: p, core: core}
+		r.doneFn = r.done
+		p.cores[core] = r
 	}
 	engine.Every(cfg.DemandEpoch, p.updateDemand)
 	return p, nil
@@ -137,12 +142,12 @@ func (p *Pool) SetActiveCores(n int) {
 		return
 	}
 	for core := n; core < old; core++ {
-		for _, packet := range p.queues[core] {
+		for p.queues[core].Len() > 0 {
+			packet := p.queues[core].Pop()
 			target := packet.Queue % p.active
-			p.queues[target] = append(p.queues[target], packet)
+			p.queues[target].Push(packet)
 			p.run(target)
 		}
-		p.queues[core] = nil
 	}
 }
 
@@ -164,43 +169,59 @@ func (p *Pool) packetCost(payloadBytes int) sim.Duration {
 // Enqueue hands a DMA-completed packet to its core's run queue.
 func (p *Pool) Enqueue(packet *pkt.Packet) {
 	core := packet.Queue % p.active
-	p.queues[core] = append(p.queues[core], packet)
+	p.queues[core].Push(packet)
 	p.queueGa.Add(1)
 	p.run(core)
 }
 
+// coreRun is one core's in-service packet. A core processes one packet
+// at a time, so each core owns exactly one record, and its completion
+// step is a func value bound when the pool is built.
+type coreRun struct {
+	pool   *Pool
+	core   int
+	packet *pkt.Packet // nil while the core is idle
+	start  sim.Time
+	doneFn func()
+}
+
 func (p *Pool) run(core int) {
-	if p.busy[core] || len(p.queues[core]) == 0 {
+	r := p.cores[core]
+	q := &p.queues[core]
+	if r.packet != nil || q.Len() == 0 {
 		return
 	}
-	p.busy[core] = true
-	packet := p.queues[core][0]
-	p.queues[core] = p.queues[core][1:]
+	packet := q.Pop()
+	r.packet = packet
 	p.queueGa.Add(-1)
 	cost := p.packetCost(packet.PayloadBytes)
-	start := p.engine.Now()
+	r.start = p.engine.Now()
 	if packet.Span != nil {
-		packet.Span.Advance(telemetry.StageCPUQueue, start,
+		packet.Span.Advance(telemetry.StageCPUQueue, r.start,
 			telemetry.Attr{Key: "core", Value: float64(core)},
-			telemetry.Attr{Key: "queued_behind", Value: float64(len(p.queues[core]))})
+			telemetry.Attr{Key: "queued_behind", Value: float64(q.Len())})
 	}
-	p.engine.After(cost, func() {
-		p.busy[core] = false
-		p.processed.Inc()
-		p.payload.Add(uint64(packet.PayloadBytes))
-		p.epochPayload += uint64(packet.PayloadBytes)
-		p.procDelay.Observe(float64(p.engine.Now().Sub(start)))
-		// Host delay as the congestion control sees it: NIC arrival to
-		// application-visible delivery, including this core's queue.
-		packet.Delivered = p.engine.Now()
-		packet.EchoHostDelay = packet.Delivered.Sub(packet.NICArrival)
-		if packet.Span != nil {
-			packet.Span.Advance(telemetry.StageCPUProcess, packet.Delivered)
-			packet.Span.Finish(packet.Delivered)
-		}
-		p.done(packet)
-		p.run(core)
-	})
+	p.engine.After(cost, r.doneFn)
+}
+
+// done completes the core's packet and starts its next one.
+func (r *coreRun) done() {
+	p, packet := r.pool, r.packet
+	r.packet = nil
+	p.processed.Inc()
+	p.payload.Add(uint64(packet.PayloadBytes))
+	p.epochPayload += uint64(packet.PayloadBytes)
+	p.procDelay.Observe(float64(p.engine.Now().Sub(r.start)))
+	// Host delay as the congestion control sees it: NIC arrival to
+	// application-visible delivery, including this core's queue.
+	packet.Delivered = p.engine.Now()
+	packet.EchoHostDelay = packet.Delivered.Sub(packet.NICArrival)
+	if packet.Span != nil {
+		packet.Span.Advance(telemetry.StageCPUProcess, packet.Delivered)
+		packet.Span.Finish(packet.Delivered)
+	}
+	p.done(packet)
+	p.run(r.core)
 }
 
 // updateDemand folds the copy traffic of the last epoch into the memory
@@ -217,8 +238,8 @@ func (p *Pool) updateDemand() {
 // QueuedPackets returns the total packets waiting across all cores.
 func (p *Pool) QueuedPackets() int {
 	total := 0
-	for _, q := range p.queues {
-		total += len(q)
+	for i := range p.queues {
+		total += p.queues[i].Len()
 	}
 	return total
 }

@@ -72,6 +72,7 @@ type Network struct {
 	senderBusy []sim.Time // per-sender egress serialization
 	portBusy   sim.Time   // receiver-facing switch port
 	portQueue  int        // bytes queued at the switch port
+	free       []*hop     // recycled per-hop records
 
 	delivered   *metrics.Counter
 	deliveredB  *metrics.Counter
@@ -136,14 +137,52 @@ func (n *Network) SendToReceiver(sender int, p *pkt.Packet) {
 	egressDone := start.Add(n.cfg.SenderLinkRate.TransmitTime(p.WireBytes))
 	n.senderBusy[sender] = egressDone
 
-	n.engine.At(egressDone.Add(n.cfg.PropagationDelay), func() {
-		n.arriveAtPort(p)
-	})
+	n.engine.At(egressDone.Add(n.cfg.PropagationDelay), n.newHop(p, sender).arriveFn)
 }
 
-// arriveAtPort runs the receiver-facing switch output port.
-func (n *Network) arriveAtPort(p *pkt.Packet) {
+// hop is one packet's passage through the fabric: forward, the arrival
+// at the switch port and then the end of the access-link transfer;
+// backward, the ACK's arrival at its sender. Its steps are func values
+// bound once, when the record is created; a record returns to the
+// network's free list when its packet leaves the fabric (delivered or
+// dropped).
+type hop struct {
+	n        *Network
+	p        *pkt.Packet
+	sender   int
+	arriveFn func() // forward: reached the receiver-facing switch port
+	egressFn func() // forward: serialized onto the access link
+	ackFn    func() // backward: reached the sender
+}
+
+func (n *Network) newHop(p *pkt.Packet, sender int) *hop {
+	var h *hop
+	if k := len(n.free); k > 0 {
+		h = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		h = &hop{n: n}
+		h.arriveFn = h.arrive
+		h.egressFn = h.egress
+		h.ackFn = h.ack
+	}
+	h.p, h.sender = p, sender
+	return h
+}
+
+// release recycles the record and returns its packet.
+func (h *hop) release() *pkt.Packet {
+	p := h.p
+	h.p = nil
+	h.n.free = append(h.n.free, h)
+	return p
+}
+
+// arrive runs the receiver-facing switch output port.
+func (h *hop) arrive() {
+	n, p := h.n, h.p
 	if n.portQueue+p.WireBytes > n.cfg.SwitchBufferBytes {
+		h.release()
 		n.switchDrops.Inc()
 		n.pool.Release(p)
 		return
@@ -161,15 +200,19 @@ func (n *Network) arriveAtPort(p *pkt.Packet) {
 	}
 	finish := start.Add(n.cfg.AccessLinkRate.TransmitTime(p.WireBytes))
 	n.portBusy = finish
-	n.engine.At(finish, func() {
-		n.portQueue -= p.WireBytes
-		n.portGauge.Set(int64(n.portQueue))
-		n.delivered.Inc()
-		n.deliveredB.Add(uint64(p.WireBytes))
-		p.EchoFabric = n.engine.Now().Sub(p.SentAt)
-		n.fabricDelay.Observe(float64(p.EchoFabric))
-		n.toReceiver(p)
-	})
+	n.engine.At(finish, h.egressFn)
+}
+
+// egress delivers the packet into the receiver NIC.
+func (h *hop) egress() {
+	n, p := h.n, h.release()
+	n.portQueue -= p.WireBytes
+	n.portGauge.Set(int64(n.portQueue))
+	n.delivered.Inc()
+	n.deliveredB.Add(uint64(p.WireBytes))
+	p.EchoFabric = n.engine.Now().Sub(p.SentAt)
+	n.fabricDelay.Observe(float64(p.EchoFabric))
+	n.toReceiver(p)
 }
 
 // SendToSender carries an ACK from the receiver back to a sender. The
@@ -180,7 +223,12 @@ func (n *Network) SendToSender(sender int, p *pkt.Packet) {
 		panic(fmt.Sprintf("fabric: sender %d out of range", sender))
 	}
 	delay := n.cfg.PropagationDelay + n.cfg.AccessLinkRate.TransmitTime(p.WireBytes)
-	n.engine.After(delay, func() { n.toSender(sender, p) })
+	n.engine.After(delay, n.newHop(p, sender).ackFn)
+}
+
+func (h *hop) ack() {
+	sender := h.sender
+	h.n.toSender(sender, h.release())
 }
 
 // PortQueueBytes returns the current switch output-port occupancy.

@@ -452,11 +452,11 @@ func NewWith(rt Runtime, cfg Config) (*Testbed, error) {
 	pl := newPlanner(t.Engine.RNG().Fork(), cfg.ReceiverThreads, cfg.RxRegionBytes)
 
 	// Receiver transport endpoint: acks leave through the NIC TX path
-	// and ride the fabric back to the owning sender.
+	// and ride the fabric back to the owning sender. The on-wire hop is
+	// bound once here, not per ack.
+	ackOnWire := func(p *pkt.Packet) { t.Fabric.SendToSender(flowSender(p.Flow), p) }
 	t.Receiver, err = transport.NewReceiver(t.Engine, t.Registry, cfg.Transport, func(ack *pkt.Packet) {
-		t.NIC.Transmit(ack, func(p *pkt.Packet) {
-			t.Fabric.SendToSender(flowSender(p.Flow), p)
-		})
+		t.NIC.Transmit(ack, ackOnWire)
 	})
 	if err != nil {
 		return nil, err

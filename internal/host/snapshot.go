@@ -17,7 +17,7 @@ import (
 // RTT), the IOTLB working set, the memory controller's smoothed IO
 // demand estimate, the NIC's round-robin service cursor, and the engine
 // RNG stream. What is record-only: NIC buffer occupancy and PCIe credit
-// occupancy — both are held by live packets and in-flight DMA closures
+// occupancy — both are held by live packets and in-flight DMA records
 // that cannot be fabricated into a fresh event queue; they re-establish
 // within a few RTTs of the guard window. The engine state documents
 // where the donor run stood (provenance and cache salting).

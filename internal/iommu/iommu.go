@@ -312,6 +312,10 @@ type IOMMU struct {
 
 	mappings []mapping
 
+	// free recycles translation records, so a steady-state DMA stream
+	// translates without allocating.
+	free []*translation
+
 	// missEWMA tracks recent misses per translation (per-event EWMA, so
 	// it stays deterministic and tick-free). Drop attribution reads it to
 	// decide whether the IOTLB was thrashing when a packet was dropped.
@@ -488,6 +492,9 @@ func (u *IOMMU) regionFor(iova uint64) *mapping {
 // addresses). With it enabled, each page is looked up in the device TLB
 // (if any), then the IOTLB; misses trigger a page walk whose memory reads
 // go through the memory controller and therefore feel its current load.
+//
+// done is held until the translation completes; callers on the hot path
+// pass a func value they bound once, so a translation allocates nothing.
 func (u *IOMMU) Translate(iova uint64, size int, done func(TranslationResult)) {
 	if size <= 0 {
 		panic("iommu: non-positive DMA size")
@@ -510,8 +517,52 @@ func (u *IOMMU) Translate(iova uint64, size int, done func(TranslationResult)) {
 	// granularity. A fault mid-DMA aborts the remainder.
 	first := iova >> m.ps.Shift()
 	last := (iova + uint64(size) - 1) >> m.ps.Shift()
-	res := TranslationResult{Pages: int(last - first + 1)}
-	u.translatePage(first, last, m, res, done)
+	t := u.newTranslation(first, last, m, done)
+	t.translatePage()
+}
+
+// translation is the state of one in-flight Translate call: the page
+// cursor, the accumulated result and the page walk in progress. Its
+// step methods are bound to func values once, when the record is
+// created, and those same values are handed to the engine and the
+// memory controller at every step; a finished record returns to its
+// IOMMU's free list.
+type translation struct {
+	u          *IOMMU
+	page, last uint64
+	m          *mapping // nil in strict mode
+	res        TranslationResult
+	done       func(TranslationResult)
+	key        tlbKey // page being walked (loose mode)
+	walkLeft   int    // page-table reads still to issue
+
+	nextFn, strictFn, readFn, stepFn func()
+}
+
+func (u *IOMMU) newTranslation(first, last uint64, m *mapping, done func(TranslationResult)) *translation {
+	var t *translation
+	if n := len(u.free); n > 0 {
+		t = u.free[n-1]
+		u.free = u.free[:n-1]
+	} else {
+		t = &translation{u: u}
+		t.nextFn = t.next
+		t.strictFn = t.strictPage
+		t.readFn = t.walkRead
+		t.stepFn = t.walkStep
+	}
+	t.page, t.last, t.m, t.done = first, last, m, done
+	t.res = TranslationResult{Pages: int(last - first + 1)}
+	return t
+}
+
+// finish recycles the record and reports the result. The record is
+// back on the free list before done runs, so done may translate again.
+func (t *translation) finish() {
+	res, done := t.res, t.done
+	t.m, t.done = nil, nil
+	t.u.free = append(t.u.free, t)
+	done(res)
 }
 
 // translateStrict performs the per-DMA map → translate → unmap cycle of
@@ -525,40 +576,40 @@ func (u *IOMMU) translateStrict(iova uint64, size int, done func(TranslationResu
 	// Strict-mode DMA windows are 4 KB-mapped regardless of backing.
 	first := iova >> Page4K.Shift()
 	last := (iova + uint64(size) - 1) >> Page4K.Shift()
-	res := TranslationResult{Pages: int(last - first + 1)}
+	t := u.newTranslation(first, last, nil, done)
 	u.strictMaps.Inc()
-	u.engine.After(u.cfg.StrictMapLatency, func() {
-		u.strictWalkAll(int(last-first+1), res, done)
-	})
+	u.engine.After(u.cfg.StrictMapLatency, t.strictFn)
 }
 
-// strictWalkAll walks n freshly mapped pages back to back.
-func (u *IOMMU) strictWalkAll(n int, res TranslationResult, done func(TranslationResult)) {
-	if n == 0 {
-		done(res)
+// strictPage walks the next freshly mapped page, or completes once every
+// page of the window has cold-missed and walked.
+func (t *translation) strictPage() {
+	u := t.u
+	if t.res.Misses == t.res.Pages {
+		t.finish()
 		return
 	}
 	u.translations.Inc()
 	u.misses.Inc()
 	u.observeMiss(true)
-	res.Misses++
+	t.res.Misses++
 	// The fresh mapping shares upper levels with previous windows, so
 	// the PWC usually covers them; the leaf is always read.
-	res.WalkAccesses++
-	u.walk(1, func() {
-		u.strictWalkAll(n-1, res, done)
-	})
+	t.res.WalkAccesses++
+	t.walkLeft = 1
+	t.walk()
 }
 
 // translatePage resolves pages [page, last] sequentially (hardware
 // pipelines these, but sequential resolution both simplifies the model and
 // matches the per-DMA latency accounting of §3.1's throughput bound).
-func (u *IOMMU) translatePage(page, last uint64, m *mapping, res TranslationResult, done func(TranslationResult)) {
-	iova := page << m.ps.Shift()
+func (t *translation) translatePage() {
+	u, m := t.u, t.m
+	iova := t.page << m.ps.Shift()
 	if mm := u.regionFor(iova); mm == nil {
 		u.faults.Inc()
-		res.Fault = fmt.Errorf("iommu: DMA fault at %#x (unmapped)", iova)
-		done(res)
+		t.res.Fault = fmt.Errorf("iommu: DMA fault at %#x (unmapped)", iova)
+		t.finish()
 		return
 	}
 	u.translations.Inc()
@@ -567,7 +618,7 @@ func (u *IOMMU) translatePage(page, last uint64, m *mapping, res TranslationResu
 	if u.devTLB != nil && u.devTLB.lookup(key) {
 		u.devHits.Inc()
 		u.observeMiss(false)
-		u.next(page, last, m, res, done)
+		t.next()
 		return
 	}
 	if u.iotlb.lookup(key) {
@@ -578,34 +629,62 @@ func (u *IOMMU) translatePage(page, last uint64, m *mapping, res TranslationResu
 		}
 		// A hit costs a few ns; fold it in as a scheduled step so hit
 		// latency still appears in the DMA timeline.
-		u.engine.After(u.cfg.TLBHitLatency, func() {
-			u.next(page, last, m, res, done)
-		})
+		u.engine.After(u.cfg.TLBHitLatency, t.nextFn)
 		return
 	}
 
 	// IOTLB miss: walk the levels not covered by the page-walk caches.
 	u.misses.Inc()
 	u.observeMiss(true)
-	res.Misses++
+	t.res.Misses++
 	reads := u.walkReadsNeeded(iova, m.ps)
-	res.WalkAccesses += reads
-	u.walk(reads, func() {
-		u.iotlb.insert(key)
-		if u.devTLB != nil {
-			u.devTLB.insert(key)
-		}
-		u.next(page, last, m, res, done)
-	})
+	t.res.WalkAccesses += reads
+	t.key = key
+	t.walkLeft = reads
+	t.walk()
 }
 
 // next advances to the following page or completes.
-func (u *IOMMU) next(page, last uint64, m *mapping, res TranslationResult, done func(TranslationResult)) {
-	if page == last {
-		done(res)
+func (t *translation) next() {
+	if t.page == t.last {
+		t.finish()
 		return
 	}
-	u.translatePage(page+1, last, m, res, done)
+	t.page++
+	t.translatePage()
+}
+
+// walk performs the remaining page-table reads one after another through
+// the memory controller, each followed by the walker's fixed step cost,
+// then completes the page. Sequential chaining is what couples walk cost
+// to memory-bus load (§3.2's "larger PCIe latencies further degrade the
+// throughput").
+func (t *translation) walk() {
+	u := t.u
+	if t.walkLeft == 0 {
+		if t.m == nil {
+			t.strictPage()
+			return
+		}
+		u.iotlb.insert(t.key)
+		if u.devTLB != nil {
+			u.devTLB.insert(t.key)
+		}
+		t.next()
+		return
+	}
+	u.walkReads.Inc()
+	u.memory.Read(u.cfg.WalkEntryBytes, t.readFn)
+}
+
+// walkRead runs when a page-table read returns: the walker's fixed step
+// cost follows before the next read.
+func (t *translation) walkRead() { t.u.engine.After(t.u.cfg.WalkStepLatency, t.stepFn) }
+
+// walkStep completes one page-table level.
+func (t *translation) walkStep() {
+	t.walkLeft--
+	t.walk()
 }
 
 // walkReadsNeeded consults the page-walk caches: each upper level hit
@@ -625,23 +704,6 @@ func (u *IOMMU) walkReadsNeeded(iova uint64, ps PageSize) int {
 		}
 	}
 	return reads
-}
-
-// walk performs n sequential page-table reads through the memory
-// controller, then calls done. Sequential chaining is what couples walk
-// cost to memory-bus load (§3.2's "larger PCIe latencies further degrade
-// the throughput").
-func (u *IOMMU) walk(n int, done func()) {
-	if n == 0 {
-		done()
-		return
-	}
-	u.walkReads.Inc()
-	u.memory.Read(u.cfg.WalkEntryBytes, func() {
-		u.engine.After(u.cfg.WalkStepLatency, func() {
-			u.walk(n-1, done)
-		})
-	})
 }
 
 // Stats is a snapshot of translation activity.

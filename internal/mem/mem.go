@@ -108,8 +108,9 @@ type Controller struct {
 	engine *sim.Engine
 	cfg    Config
 
-	// Fluid CPU-side demand, bytes/second per source.
-	cpuDemand map[string]float64
+	// Fluid CPU-side demand, bytes/second per source, sorted by source
+	// name; a source whose rate drops to zero is removed.
+	cpuDemand []cpuSource
 	cpuTotal  float64 // sum of cpuDemand
 
 	// Discrete IO-side virtual server.
@@ -139,7 +140,6 @@ func New(engine *sim.Engine, reg *metrics.Registry, cfg Config) (*Controller, er
 	c := &Controller{
 		engine:      engine,
 		cfg:         cfg,
-		cpuDemand:   make(map[string]float64),
 		loadFactor:  1,
 		lastAccount: engine.Now(),
 		ioServed:    reg.Counter("mem.io.bytes"),
@@ -165,24 +165,33 @@ func (c *Controller) SetCPUDemand(source string, bytesPerSecond float64) {
 		bytesPerSecond = 0
 	}
 	c.accountCPU()
-	if bytesPerSecond == 0 {
-		delete(c.cpuDemand, source)
-	} else {
-		c.cpuDemand[source] = bytesPerSecond
+	i := sort.Search(len(c.cpuDemand), func(i int) bool { return c.cpuDemand[i].source >= source })
+	found := i < len(c.cpuDemand) && c.cpuDemand[i].source == source
+	switch {
+	case bytesPerSecond == 0 && found:
+		c.cpuDemand = append(c.cpuDemand[:i], c.cpuDemand[i+1:]...)
+	case bytesPerSecond == 0:
+	case found:
+		c.cpuDemand[i].rate = bytesPerSecond
+	default:
+		c.cpuDemand = append(c.cpuDemand, cpuSource{})
+		copy(c.cpuDemand[i+1:], c.cpuDemand[i:])
+		c.cpuDemand[i] = cpuSource{source: source, rate: bytesPerSecond}
 	}
-	// Sum in sorted key order: float addition is not associative, and
-	// Go map iteration order is random — summing in map order would make
-	// runs non-reproducible in the last bits.
-	keys := make([]string, 0, len(c.cpuDemand))
-	for k := range c.cpuDemand {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	// Sum in sorted source order: float addition is not associative, so
+	// a fixed order keeps runs reproducible in the last bits. The slice
+	// is kept sorted in place, so an update allocates nothing.
 	c.cpuTotal = 0
-	for _, k := range keys {
-		c.cpuTotal += c.cpuDemand[k]
+	for _, d := range c.cpuDemand {
+		c.cpuTotal += d.rate
 	}
 	c.recompute()
+}
+
+// cpuSource is one named fluid CPU-side demand.
+type cpuSource struct {
+	source string
+	rate   float64 // bytes/second
 }
 
 // accountCPU integrates achieved CPU bandwidth up to now.

@@ -1,20 +1,31 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
 
-// FuzzHistogram checks quantile sanity on arbitrary observations: the
-// histogram must never panic, quantiles must be monotone, and bucket
-// lower bounds must never exceed the recorded maximum.
+// FuzzHistogram feeds raw float64 bit patterns — infinities, NaNs,
+// subnormals and values near MaxFloat64 included — into a histogram:
+// it must never panic, quantiles must be monotone, and the median must
+// never exceed the recorded maximum.
 func FuzzHistogram(f *testing.F) {
-	f.Add([]byte{1, 2, 3})
+	seed := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(seed(1, 2, 3))
+	f.Add(seed(math.Inf(1), math.MaxFloat64, 1))
+	f.Add(seed(math.SmallestNonzeroFloat64, math.NaN(), math.Inf(-1)))
+	f.Add(seed(math.Nextafter(1<<30, 0), 1<<30, 7.5e300))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		h := NewHistogram(16)
-		for i := 0; i+1 < len(raw); i += 2 {
-			v := float64(uint16(raw[i])<<8|uint16(raw[i+1])) * 37.5
-			h.Observe(v)
+		for i := 0; i+8 <= len(raw); i += 8 {
+			h.Observe(math.Float64frombits(binary.LittleEndian.Uint64(raw[i:])))
 		}
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.1 {

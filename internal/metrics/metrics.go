@@ -90,19 +90,24 @@ func NewHistogram(subBuckets int) *Histogram {
 	}
 }
 
-// bucketIndex maps a value to its bucket. Values < 1 map to bucket 0.
+// bucketIndex maps a value to its bucket. Values < 1 map to bucket 0;
+// +Inf files into the top finite bucket (the one holding MaxFloat64).
+// Frexp splits v exactly into mantissa and exponent: v = 2m·2^(e-1)
+// with 2m in [1, 2), so the octave is e-1 and the fraction of the way
+// through it is 2m-1, both without rounding.
 func (h *Histogram) bucketIndex(v float64) int {
 	if v < 1 {
 		return 0
 	}
-	exp := int(math.Floor(math.Log2(v)))
-	base := math.Exp2(float64(exp))
-	frac := (v - base) / base // [0, 1)
-	sub := int(frac * float64(h.subBuckets))
+	if math.IsInf(v, 1) {
+		v = math.MaxFloat64
+	}
+	m, e := math.Frexp(v)
+	sub := int((2*m - 1) * float64(h.subBuckets))
 	if sub >= h.subBuckets {
 		sub = h.subBuckets - 1
 	}
-	return 1 + exp*h.subBuckets + sub
+	return 1 + (e-1)*h.subBuckets + sub
 }
 
 // bucketLow returns the lower bound of bucket i (inverse of bucketIndex).
@@ -113,8 +118,7 @@ func (h *Histogram) bucketLow(i int) float64 {
 	i--
 	exp := i / h.subBuckets
 	sub := i % h.subBuckets
-	base := math.Exp2(float64(exp))
-	return base * (1 + float64(sub)/float64(h.subBuckets))
+	return math.Ldexp(1+float64(sub)/float64(h.subBuckets), exp)
 }
 
 // Observe records one value. Negative values are clamped to zero.

@@ -116,7 +116,7 @@ type NIC struct {
 
 	// buffers[0] is the single shared FIFO; with PerQueueBuffers there
 	// is one FIFO per queue, each owning BufferBytes/Queues of SRAM.
-	buffers     [][]*pkt.Packet
+	buffers     []sim.FIFO[*pkt.Packet]
 	bufUsed     []int
 	bufCap      int // capacity per buffer
 	rrNext      int // round-robin cursor for partitioned service
@@ -132,6 +132,11 @@ type NIC struct {
 	descriptors []int // available descriptors per queue
 
 	txBusyUntil sim.Time
+
+	// Free lists of the per-DMA state records (see rxDMA and txDMA):
+	// a steady packet stream recycles them instead of allocating.
+	freeRx []*rxDMA
+	freeTx []*txDMA
 
 	rxPackets  *metrics.Counter
 	rxBytes    *metrics.Counter
@@ -194,11 +199,11 @@ func New(engine *sim.Engine, reg *metrics.Registry, link *pcie.Link, mmu *iommu.
 		n.descriptors[q] = cfg.RingSize
 	}
 	if cfg.PerQueueBuffers {
-		n.buffers = make([][]*pkt.Packet, cfg.Queues)
+		n.buffers = make([]sim.FIFO[*pkt.Packet], cfg.Queues)
 		n.bufUsed = make([]int, cfg.Queues)
 		n.bufCap = cfg.BufferBytes / cfg.Queues
 	} else {
-		n.buffers = make([][]*pkt.Packet, 1)
+		n.buffers = make([]sim.FIFO[*pkt.Packet], 1)
 		n.bufUsed = make([]int, 1)
 		n.bufCap = cfg.BufferBytes
 	}
@@ -251,7 +256,7 @@ func (n *NIC) Receive(p *pkt.Packet) {
 	if n.cfg.HostECNThreshold > 0 && n.bufferUsed >= n.cfg.HostECNThreshold {
 		p.HostECN = true
 	}
-	n.buffers[b] = append(n.buffers[b], p)
+	n.buffers[b].Push(p)
 	n.bufUsed[b] += p.WireBytes
 	n.bufferUsed += p.WireBytes
 	n.bufferGa.Set(int64(n.bufferUsed))
@@ -271,10 +276,10 @@ func (n *NIC) Receive(p *pkt.Packet) {
 // and a descriptor-starved queue is skipped rather than blocking others.
 func (n *NIC) selectBuffer() int {
 	if !n.cfg.PerQueueBuffers {
-		if len(n.buffers[0]) == 0 {
+		if n.buffers[0].Len() == 0 {
 			return -1
 		}
-		if n.descriptors[n.buffers[0][0].Queue] == 0 {
+		if n.descriptors[n.buffers[0].Front().Queue] == 0 {
 			n.descStalls.Inc()
 			n.stalled = true
 			return -1
@@ -284,11 +289,11 @@ func (n *NIC) selectBuffer() int {
 	nonEmpty := false
 	for i := 0; i < len(n.buffers); i++ {
 		b := (n.rrNext + i) % len(n.buffers)
-		if len(n.buffers[b]) == 0 {
+		if n.buffers[b].Len() == 0 {
 			continue
 		}
 		nonEmpty = true
-		if n.descriptors[n.buffers[b][0].Queue] == 0 {
+		if n.descriptors[n.buffers[b].Front().Queue] == 0 {
 			n.descStalls.Inc()
 			continue
 		}
@@ -313,126 +318,202 @@ func (n *NIC) pump() {
 	if b < 0 {
 		return
 	}
-	head := n.buffers[b][0]
+	head := n.buffers[b].Front()
 	n.descriptors[head.Queue]--
 	n.pumping = true
-	wire := n.link.Config().WireBytes(head.PayloadBytes + n.cfg.CompletionBytes)
-	pumpStart := n.engine.Now()
+	d := n.newRxDMA(head, b)
 	if head.Span != nil {
-		head.Span.Advance(telemetry.StageNICBuffer, pumpStart)
+		head.Span.Advance(telemetry.StageNICBuffer, d.pumpStart)
 	}
-	n.link.AcquireCredits(wire, func() {
-		dmaStart := n.engine.Now()
-		n.stageWait.Observe(float64(dmaStart.Sub(pumpStart)))
-		if head.Span != nil {
-			head.Span.Advance(telemetry.StageCreditWait, dmaStart,
-				telemetry.Attr{Key: "credit_bytes", Value: float64(wire)},
-				telemetry.Attr{Key: "credits_free", Value: float64(n.link.CreditsAvailable())})
-		}
-		n.link.Transmit(head.PayloadBytes, func() {
-			n.stageLink.Observe(float64(n.engine.Now().Sub(dmaStart)))
-			if head.Span != nil {
-				head.Span.Advance(telemetry.StageLink, n.engine.Now())
-			}
-			// TLPs accepted by the root complex: the packet no longer
-			// occupies NIC SRAM; continue the downstream write chain.
-			n.buffers[b] = n.buffers[b][1:]
-			n.bufUsed[b] -= head.WireBytes
-			n.bufferUsed -= head.WireBytes
-			n.bufferGa.Set(int64(n.bufferUsed))
-			n.pumping = false
-			n.rootComplexChain(head, wire, dmaStart)
-			n.pump()
-		})
-	})
+	n.link.AcquireCredits(d.creditBytes, d.grantedFn)
+}
+
+// rxDMA is the state of one received packet's DMA from the head of the
+// NIC buffer to delivery: credit wait, link transfer, then the
+// root-complex chain of three translate → memory-access stages
+// (descriptor read, payload write, completion write) and the fixed
+// root-complex latency. Its step methods are bound to func values once,
+// when the record is created, and those same values are passed to the
+// link, the IOMMU, the memory controller and the engine at every step;
+// a delivered packet's record returns to the NIC's free list.
+type rxDMA struct {
+	n           *NIC
+	p           *pkt.Packet
+	buf         int // input buffer the packet occupies until the link takes it
+	creditBytes int
+
+	pumpStart, dmaStart, stageStart, rcStart sim.Time
+
+	// stage indexes the root-complex chain: 0 descriptor read, 1 payload
+	// write, 2 completion write.
+	stage                            int
+	payloadAddr, descAddr, complAddr uint64
+	misses                           int
+	xlateNs, memNs                   float64
+	lf, qd                           float64 // memory state at issue (sampled spans only)
+
+	grantedFn, linkedFn, memDoneFn, deliverFn func()
+	translatedFn                              func(iommu.TranslationResult)
+}
+
+func (n *NIC) newRxDMA(p *pkt.Packet, buf int) *rxDMA {
+	var d *rxDMA
+	if k := len(n.freeRx); k > 0 {
+		d = n.freeRx[k-1]
+		n.freeRx = n.freeRx[:k-1]
+	} else {
+		d = &rxDMA{n: n}
+		d.grantedFn = d.granted
+		d.linkedFn = d.linked
+		d.translatedFn = d.translated
+		d.memDoneFn = d.memDone
+		d.deliverFn = d.deliver
+	}
+	d.p, d.buf = p, buf
+	d.creditBytes = n.link.Config().WireBytes(p.PayloadBytes + n.cfg.CompletionBytes)
+	d.pumpStart = n.engine.Now()
+	return d
+}
+
+// granted runs when the posted-write credits are held: the TLPs go onto
+// the link.
+func (d *rxDMA) granted() {
+	n, p := d.n, d.p
+	d.dmaStart = n.engine.Now()
+	n.stageWait.Observe(float64(d.dmaStart.Sub(d.pumpStart)))
+	if p.Span != nil {
+		p.Span.Advance(telemetry.StageCreditWait, d.dmaStart,
+			telemetry.Attr{Key: "credit_bytes", Value: float64(d.creditBytes)},
+			telemetry.Attr{Key: "credits_free", Value: float64(n.link.CreditsAvailable())})
+	}
+	n.link.Transmit(p.PayloadBytes, d.linkedFn)
+}
+
+// linked runs when the root complex has accepted the TLPs: the packet no
+// longer occupies NIC SRAM, the next packet may start, and the
+// downstream write chain begins.
+func (d *rxDMA) linked() {
+	n, p := d.n, d.p
+	n.stageLink.Observe(float64(n.engine.Now().Sub(d.dmaStart)))
+	if p.Span != nil {
+		p.Span.Advance(telemetry.StageLink, n.engine.Now())
+	}
+	n.buffers[d.buf].Pop()
+	n.bufUsed[d.buf] -= p.WireBytes
+	n.bufferUsed -= p.WireBytes
+	n.bufferGa.Set(int64(n.bufferUsed))
+	n.pumping = false
+	d.rootComplexChain()
+	n.pump()
 }
 
 // rootComplexChain performs the per-packet work downstream of the link:
 // descriptor fetch, payload write, completion write — each preceded by an
 // IOMMU translation — plus the root complex's fixed pipeline latency.
 // Credits are released only at the end (step 6 of the paper's datapath).
-func (n *NIC) rootComplexChain(p *pkt.Packet, creditBytes int, dmaStart sim.Time) {
-	payloadAddr, descAddr, complAddr := n.planner.PlanRx(p.Queue, p.PayloadBytes)
-	misses := 0
-	var xlateNs, memNs float64
-	stageStart := n.engine.Now()
-	span := p.Span
+func (d *rxDMA) rootComplexChain() {
+	n := d.n
+	d.payloadAddr, d.descAddr, d.complAddr = n.planner.PlanRx(d.p.Queue, d.p.PayloadBytes)
+	d.misses = 0
+	d.xlateNs, d.memNs = 0, 0
+	d.stageStart = n.engine.Now()
+	d.stage = 0
+	d.translate()
+}
 
-	finish := func() {
-		n.stageXlate.Observe(xlateNs)
-		n.stageMem.Observe(memNs)
-		rcStart := n.engine.Now()
-		n.engine.After(n.link.Config().RootComplexLatency, func() {
-			n.stageRC.Observe(float64(n.engine.Now().Sub(rcStart)))
-			n.link.ReleaseCredits(creditBytes)
-			n.missesHist.Observe(float64(misses))
-			n.dmaLatency.Observe(float64(n.engine.Now().Sub(dmaStart)))
-			p.Delivered = n.engine.Now()
-			p.EchoHostDelay = p.Delivered.Sub(p.NICArrival)
-			if span != nil {
-				span.Advance(telemetry.StageRootComplex, p.Delivered,
-					telemetry.Attr{Key: "credit_hold_ns", Value: float64(p.Delivered.Sub(dmaStart))},
-					telemetry.Attr{Key: "iotlb_misses", Value: float64(misses)})
-			}
-			n.rxPayload.Add(uint64(p.PayloadBytes))
-			n.hostDelay.Observe(float64(p.EchoHostDelay))
-			n.deliver(p)
-		})
+// stageTarget returns the address and size of the current chain stage.
+func (d *rxDMA) stageTarget() (uint64, int) {
+	switch d.stage {
+	case 0:
+		return d.descAddr, d.n.cfg.DescriptorBytes
+	case 1:
+		return d.payloadAddr, d.p.PayloadBytes
+	default:
+		return d.complAddr, d.n.cfg.CompletionBytes
 	}
+}
 
-	step := func(acc *float64) {
-		now := n.engine.Now()
-		*acc += float64(now.Sub(stageStart))
-		stageStart = now
-	}
-	// xlate/memOp wrap one link in the translate → access chain, folding
-	// the elapsed time into the per-stage histograms and — for sampled
-	// packets — recording a span stage with its local annotations
-	// (miss/walk counts for translations; the load factor and FIFO
-	// backlog seen at issue time for memory accesses).
-	xlate := func(r iommu.TranslationResult) {
-		n.countFault(r)
-		misses += r.Misses
-		step(&xlateNs)
-		if span != nil {
-			span.Advance(telemetry.StageTranslate, n.engine.Now(),
-				telemetry.Attr{Key: "misses", Value: float64(r.Misses)},
-				telemetry.Attr{Key: "walk_reads", Value: float64(r.WalkAccesses)},
-				telemetry.Attr{Key: "pages", Value: float64(r.Pages)})
-		}
-	}
-	memOp := func(access func(int, func()), bytes int, cont func()) {
-		var lf, qd float64
-		if span != nil {
-			lf = n.memory.LoadFactor()
-			qd = float64(n.memory.QueueDelay())
-		}
-		access(bytes, func() {
-			step(&memNs)
-			if span != nil {
-				span.Advance(telemetry.StageMemory, n.engine.Now(),
-					telemetry.Attr{Key: "load_factor", Value: lf},
-					telemetry.Attr{Key: "queue_wait_ns", Value: qd},
-					telemetry.Attr{Key: "bytes", Value: float64(bytes)})
-			}
-			cont()
-		})
-	}
+// lap folds the time since the previous stage boundary into acc.
+func (d *rxDMA) lap(acc *float64) {
+	now := d.n.engine.Now()
+	*acc += float64(now.Sub(d.stageStart))
+	d.stageStart = now
+}
 
-	n.mmu.Translate(descAddr, n.cfg.DescriptorBytes, func(r iommu.TranslationResult) {
-		xlate(r)
-		memOp(n.memory.Read, n.cfg.DescriptorBytes, func() {
-			n.mmu.Translate(payloadAddr, p.PayloadBytes, func(r iommu.TranslationResult) {
-				xlate(r)
-				memOp(n.memory.Write, p.PayloadBytes, func() {
-					n.mmu.Translate(complAddr, n.cfg.CompletionBytes, func(r iommu.TranslationResult) {
-						xlate(r)
-						memOp(n.memory.Write, n.cfg.CompletionBytes, finish)
-					})
-				})
-			})
-		})
-	})
+func (d *rxDMA) translate() {
+	addr, bytes := d.stageTarget()
+	d.n.mmu.Translate(addr, bytes, d.translatedFn)
+}
+
+// translated folds one translation into the per-stage histograms and —
+// for sampled packets — records a span stage with its miss/walk counts,
+// then issues the stage's memory access (a read for the descriptor,
+// writes for payload and completion), noting for sampled packets the
+// load factor and FIFO backlog seen at issue time.
+func (d *rxDMA) translated(r iommu.TranslationResult) {
+	n, span := d.n, d.p.Span
+	n.countFault(r)
+	d.misses += r.Misses
+	d.lap(&d.xlateNs)
+	if span != nil {
+		span.Advance(telemetry.StageTranslate, n.engine.Now(),
+			telemetry.Attr{Key: "misses", Value: float64(r.Misses)},
+			telemetry.Attr{Key: "walk_reads", Value: float64(r.WalkAccesses)},
+			telemetry.Attr{Key: "pages", Value: float64(r.Pages)})
+		d.lf = n.memory.LoadFactor()
+		d.qd = float64(n.memory.QueueDelay())
+	}
+	_, bytes := d.stageTarget()
+	if d.stage == 0 {
+		n.memory.Read(bytes, d.memDoneFn)
+	} else {
+		n.memory.Write(bytes, d.memDoneFn)
+	}
+}
+
+// memDone closes a stage's memory access and moves to the next stage,
+// or — after the completion write — into the root-complex pipeline.
+func (d *rxDMA) memDone() {
+	n, span := d.n, d.p.Span
+	d.lap(&d.memNs)
+	if span != nil {
+		_, bytes := d.stageTarget()
+		span.Advance(telemetry.StageMemory, n.engine.Now(),
+			telemetry.Attr{Key: "load_factor", Value: d.lf},
+			telemetry.Attr{Key: "queue_wait_ns", Value: d.qd},
+			telemetry.Attr{Key: "bytes", Value: float64(bytes)})
+	}
+	if d.stage < 2 {
+		d.stage++
+		d.translate()
+		return
+	}
+	n.stageXlate.Observe(d.xlateNs)
+	n.stageMem.Observe(d.memNs)
+	d.rcStart = n.engine.Now()
+	n.engine.After(n.link.Config().RootComplexLatency, d.deliverFn)
+}
+
+// deliver returns the credits and hands the packet to host software.
+// The record is back on the free list before the delivery callback runs.
+func (d *rxDMA) deliver() {
+	n, p := d.n, d.p
+	n.stageRC.Observe(float64(n.engine.Now().Sub(d.rcStart)))
+	n.link.ReleaseCredits(d.creditBytes)
+	n.missesHist.Observe(float64(d.misses))
+	n.dmaLatency.Observe(float64(n.engine.Now().Sub(d.dmaStart)))
+	p.Delivered = n.engine.Now()
+	p.EchoHostDelay = p.Delivered.Sub(p.NICArrival)
+	if p.Span != nil {
+		p.Span.Advance(telemetry.StageRootComplex, p.Delivered,
+			telemetry.Attr{Key: "credit_hold_ns", Value: float64(p.Delivered.Sub(d.dmaStart))},
+			telemetry.Attr{Key: "iotlb_misses", Value: float64(d.misses)})
+	}
+	n.rxPayload.Add(uint64(p.PayloadBytes))
+	n.hostDelay.Observe(float64(p.EchoHostDelay))
+	d.p = nil
+	n.freeRx = append(n.freeRx, d)
+	n.deliver(p)
 }
 
 func (n *NIC) countFault(r iommu.TranslationResult) {
@@ -447,38 +528,81 @@ func (n *NIC) countFault(r iommu.TranslationResult) {
 // The TX path fetches the packet from host memory — translating through
 // the IOMMU when TxTranslation is set, which is how ACK traffic competes
 // for the same IOTLB — and serializes it on the TX side of the link.
-// onWire is invoked when the packet has left the NIC.
+// onWire is invoked when the packet has left the NIC; it is held until
+// then, so hot-path callers pass a func value bound once.
 func (n *NIC) Transmit(p *pkt.Packet, onWire func(*pkt.Packet)) {
 	descAddr, addr := n.planner.PlanTx(p.Queue, p.WireBytes)
-	afterFetch := func() {
-		n.memory.Read(p.WireBytes, func() {
-			// TX serialization on the NIC's egress (same raw rate).
-			rate := n.link.Config().RawBandwidth()
-			start := n.txBusyUntil
-			if now := n.engine.Now(); start < now {
-				start = now
-			}
-			finish := start.Add(rate.TransmitTime(p.WireBytes))
-			n.txBusyUntil = finish
-			n.engine.At(finish, func() {
-				n.txPackets.Inc()
-				onWire(p)
-			})
-		})
-	}
+	t := n.newTxDMA(p, onWire)
 	if n.cfg.TxTranslation {
 		// TX fetches its descriptor and the packet buffer, each through
 		// the IOMMU — the ACK-side translations of the paper's footnote 3.
-		n.mmu.Translate(descAddr, n.cfg.DescriptorBytes, func(r iommu.TranslationResult) {
-			n.countFault(r)
-			n.mmu.Translate(addr, p.WireBytes, func(r iommu.TranslationResult) {
-				n.countFault(r)
-				afterFetch()
-			})
-		})
+		t.bufAddr = addr
+		n.mmu.Translate(descAddr, n.cfg.DescriptorBytes, t.translatedFn)
 	} else {
-		afterFetch()
+		t.fetch()
 	}
+}
+
+// txDMA is the state of one outgoing packet: descriptor and buffer
+// translations (stage 0 and 1), the payload fetch, then serialization.
+// Like rxDMA, its steps are func values bound once per record.
+type txDMA struct {
+	n       *NIC
+	p       *pkt.Packet
+	onWire  func(*pkt.Packet)
+	bufAddr uint64
+	stage   int
+
+	translatedFn      func(iommu.TranslationResult)
+	fetchedFn, sentFn func()
+}
+
+func (n *NIC) newTxDMA(p *pkt.Packet, onWire func(*pkt.Packet)) *txDMA {
+	var t *txDMA
+	if k := len(n.freeTx); k > 0 {
+		t = n.freeTx[k-1]
+		n.freeTx = n.freeTx[:k-1]
+	} else {
+		t = &txDMA{n: n}
+		t.translatedFn = t.translated
+		t.fetchedFn = t.fetched
+		t.sentFn = t.sent
+	}
+	t.p, t.onWire, t.stage = p, onWire, 0
+	return t
+}
+
+func (t *txDMA) translated(r iommu.TranslationResult) {
+	t.n.countFault(r)
+	if t.stage == 0 {
+		t.stage = 1
+		t.n.mmu.Translate(t.bufAddr, t.p.WireBytes, t.translatedFn)
+		return
+	}
+	t.fetch()
+}
+
+func (t *txDMA) fetch() { t.n.memory.Read(t.p.WireBytes, t.fetchedFn) }
+
+// fetched serializes the packet on the NIC's egress (same raw rate).
+func (t *txDMA) fetched() {
+	n := t.n
+	rate := n.link.Config().RawBandwidth()
+	start := n.txBusyUntil
+	if now := n.engine.Now(); start < now {
+		start = now
+	}
+	finish := start.Add(rate.TransmitTime(t.p.WireBytes))
+	n.txBusyUntil = finish
+	n.engine.At(finish, t.sentFn)
+}
+
+func (t *txDMA) sent() {
+	n, p, onWire := t.n, t.p, t.onWire
+	t.p, t.onWire = nil, nil
+	n.freeTx = append(n.freeTx, t)
+	n.txPackets.Inc()
+	onWire(p)
 }
 
 // ReplenishDescriptors returns count descriptors to a queue's ring; the

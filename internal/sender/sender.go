@@ -57,7 +57,8 @@ type Host struct {
 
 	queued    int
 	busyUntil sim.Time
-	waiting   []*pkt.Packet // stack-side backpressure queue
+	waiting   sim.FIFO[*pkt.Packet] // stack-side backpressure queue
+	free      []*txDMA              // recycled per-packet TX records
 
 	sent        *metrics.Counter
 	backpressed *metrics.Counter
@@ -96,7 +97,7 @@ func (h *Host) Memory() *mem.Controller { return h.memory }
 func (h *Host) QueuedPackets() int { return h.queued }
 
 // WaitingPackets returns the stack-side backpressure queue depth.
-func (h *Host) WaitingPackets() int { return len(h.waiting) }
+func (h *Host) WaitingPackets() int { return h.waiting.Len() }
 
 // Send transmits a packet through the TX path. If the NIC queue is
 // full, the packet waits in software — backpressure, never loss.
@@ -109,7 +110,7 @@ func (h *Host) WaitingPackets() int { return len(h.waiting) }
 func (h *Host) Send(p *pkt.Packet) {
 	if h.queued >= h.cfg.TxQueuePackets {
 		h.backpressed.Inc()
-		h.waiting = append(h.waiting, p)
+		h.waiting.Push(p)
 		return
 	}
 	h.admit(p)
@@ -119,28 +120,54 @@ func (h *Host) Send(p *pkt.Packet) {
 // serialize it onto the wire.
 func (h *Host) admit(p *pkt.Packet) {
 	h.queued++
-	start := h.engine.Now()
-	h.memory.Read(p.WireBytes, func() {
-		tx := h.busyUntil
-		if now := h.engine.Now(); tx < now {
-			tx = now
-		}
-		finish := tx.Add(h.cfg.LinkRate.TransmitTime(p.WireBytes))
-		h.busyUntil = finish
-		h.engine.At(finish, func() {
-			h.queued--
-			h.sent.Inc()
-			h.txDelay.Observe(float64(h.engine.Now().Sub(start)))
-			h.emit(p)
-			// Admission order is FIFO: the oldest waiting packet takes
-			// the freed slot.
-			if len(h.waiting) > 0 && h.queued < h.cfg.TxQueuePackets {
-				next := h.waiting[0]
-				h.waiting = h.waiting[1:]
-				h.admit(next)
-			}
-		})
-	})
+	var t *txDMA
+	if k := len(h.free); k > 0 {
+		t = h.free[k-1]
+		h.free = h.free[:k-1]
+	} else {
+		t = &txDMA{h: h}
+		t.fetchedFn = t.fetched
+		t.sentFn = t.sent
+	}
+	t.p, t.start = p, h.engine.Now()
+	h.memory.Read(p.WireBytes, t.fetchedFn)
+}
+
+// txDMA is one admitted packet's TX DMA. Its steps are func values
+// bound once, when the record is created; a record returns to the
+// host's free list when its packet reaches the wire.
+type txDMA struct {
+	h                 *Host
+	p                 *pkt.Packet
+	start             sim.Time
+	fetchedFn, sentFn func()
+}
+
+// fetched serializes the fetched payload onto the wire.
+func (t *txDMA) fetched() {
+	h := t.h
+	tx := h.busyUntil
+	if now := h.engine.Now(); tx < now {
+		tx = now
+	}
+	finish := tx.Add(h.cfg.LinkRate.TransmitTime(t.p.WireBytes))
+	h.busyUntil = finish
+	h.engine.At(finish, t.sentFn)
+}
+
+func (t *txDMA) sent() {
+	h, p := t.h, t.p
+	h.queued--
+	h.sent.Inc()
+	h.txDelay.Observe(float64(h.engine.Now().Sub(t.start)))
+	t.p = nil
+	h.free = append(h.free, t)
+	h.emit(p)
+	// Admission order is FIFO: the oldest waiting packet takes the
+	// freed slot.
+	if h.waiting.Len() > 0 && h.queued < h.cfg.TxQueuePackets {
+		h.admit(h.waiting.Pop())
+	}
 }
 
 // Stats is a snapshot of TX activity.

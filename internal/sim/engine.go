@@ -250,7 +250,7 @@ func (e *Engine) Reset(seed uint64) {
 // EngineState is a serializable fingerprint of the engine at a point in
 // simulated time: the clock, event accounting, and the full RNG state.
 // It is the sim-layer half of a steady-state checkpoint. The event
-// queue itself holds Go closures and cannot be serialized, so a
+// queue itself holds Go func values and cannot be serialized, so a
 // checkpoint restore rebuilds the event population from primed
 // component state rather than from the queue; EngineState records where
 // the donor run stood (for checkpoint provenance and cache salting) and

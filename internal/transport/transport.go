@@ -11,7 +11,6 @@ package transport
 
 import (
 	"fmt"
-	"sort"
 
 	"hic/internal/metrics"
 	"hic/internal/pkt"
@@ -115,6 +114,76 @@ type sentInfo struct {
 	laterAcks int // acks for higher sequences seen since (re)send
 }
 
+// readInfo tracks one ReadSize read (RPC) until its last packet is
+// acknowledged.
+type readInfo struct {
+	start sim.Time // first packet sent; retransmissions do not reset it
+	acked int      // distinct packets acknowledged
+}
+
+// window holds records for consecutive ids [base, base+span()) — the
+// sequences of sent-but-unacknowledged packets, or the numbers of
+// unfinished reads. Ids are issued in order, so slot i belongs to id
+// base+i; ids retired inside the span stay as dead slots until the
+// retired prefix is trimmed, and walking the slots front to back
+// visits the live ids in ascending order with no sort, no map and no
+// allocation.
+type window[T any] struct {
+	slots sim.FIFO[windowSlot[T]]
+	base  uint64
+	live  int
+}
+
+type windowSlot[T any] struct {
+	val  T
+	live bool
+}
+
+// len returns the number of live ids.
+func (w *window[T]) len() int { return w.live }
+
+// span returns the number of slots, live or dead.
+func (w *window[T]) span() int { return w.slots.Len() }
+
+// at returns the record of id base+i and whether it is live.
+func (w *window[T]) at(i int) (*T, bool) {
+	s := w.slots.At(i)
+	return &s.val, s.live
+}
+
+// push records a newly issued id, which must be the next one after the
+// span (any id when the window is empty).
+func (w *window[T]) push(id uint64, v T) {
+	if w.slots.Len() == 0 {
+		w.base = id
+	} else if end := w.base + uint64(w.slots.Len()); id != end {
+		panic(fmt.Sprintf("transport: id %d issued out of order (window [%d,%d))", id, w.base, end))
+	}
+	w.slots.Push(windowSlot[T]{val: v, live: true})
+	w.live++
+}
+
+// get returns the record of id, or nil if id is not live.
+func (w *window[T]) get(id uint64) *T {
+	if id < w.base || id-w.base >= uint64(w.slots.Len()) {
+		return nil
+	}
+	if v, live := w.at(int(id - w.base)); live {
+		return v
+	}
+	return nil
+}
+
+// retire marks a live id done and trims the retired prefix.
+func (w *window[T]) retire(id uint64) {
+	w.slots.At(int(id - w.base)).live = false
+	w.live--
+	for w.slots.Len() > 0 && !w.slots.At(0).live {
+		w.slots.Pop()
+		w.base++
+	}
+}
+
 // fastRetxDupAcks is the dup-ack threshold for fast retransmit: once this
 // many later packets are acknowledged while a sequence is outstanding,
 // the packet is declared lost without waiting for the RTO.
@@ -133,15 +202,15 @@ type Conn struct {
 	queue  int
 	emit   func(sender int, p *pkt.Packet)
 
-	nextSeq  uint64
-	nextID   uint64
-	inflight map[uint64]*sentInfo
-	srtt     sim.Duration
-	pool     *pkt.Pool // packet free list; data packets are drawn here
+	nextSeq   uint64
+	nextID    uint64
+	inflight  window[sentInfo]
+	srtt      sim.Duration
+	pool      *pkt.Pool // packet free list; data packets are drawn here
+	trySendFn func()    // c.trySend bound once, for pacing reschedules
 
 	// Per-read (RPC) completion tracking for tail-latency measurement.
-	readStart map[uint64]sim.Time
-	readAcked map[uint64]int
+	reads window[readInfo]
 
 	paceUntil sim.Time // earliest next send when cwnd < 1
 	appUntil  sim.Time // earliest next send under the app rate limit
@@ -174,9 +243,6 @@ func NewConn(engine *sim.Engine, reg *metrics.Registry, cfg Config, cc Congestio
 		sender:    sender,
 		queue:     queue,
 		emit:      emit,
-		inflight:  make(map[uint64]*sentInfo),
-		readStart: make(map[uint64]sim.Time),
-		readAcked: make(map[uint64]int),
 		srtt:      20 * sim.Microsecond, // prior until measured
 		sent:      reg.Counter("transport.sent.packets"),
 		ackedB:    reg.Counter("transport.acked.bytes"),
@@ -186,6 +252,7 @@ func NewConn(engine *sim.Engine, reg *metrics.Registry, cfg Config, cc Congestio
 		hostDHist: reg.Histogram("transport.host.delay.ns"),
 		readHist:  reg.Histogram("transport.read.latency.ns"),
 	}
+	c.trySendFn = c.trySend
 	engine.Every(cfg.RetxScan, c.scanRetransmits)
 	return c, nil
 }
@@ -209,7 +276,7 @@ func (c *Conn) Flow() uint32 { return c.flow }
 func (c *Conn) SRTT() sim.Duration { return c.srtt }
 
 // InflightPackets returns the current outstanding packet count.
-func (c *Conn) InflightPackets() int { return len(c.inflight) }
+func (c *Conn) InflightPackets() int { return c.inflight.len() }
 
 // WarmState is a connection's serializable congestion state — the part
 // of steady state that takes many RTTs to re-learn on a cold start and
@@ -278,15 +345,15 @@ func (c *Conn) trySend() {
 		}
 		now := c.engine.Now()
 		if c.cfg.AppRateLimit > 0 && now < c.appUntil {
-			c.engine.At(c.appUntil, c.trySend)
+			c.engine.At(c.appUntil, c.trySendFn)
 			return
 		}
 		if cwnd < 1 {
-			if len(c.inflight) > 0 {
+			if c.inflight.len() > 0 {
 				return // sub-1 window: at most one packet outstanding
 			}
 			if now < c.paceUntil {
-				c.engine.At(c.paceUntil, c.trySend)
+				c.engine.At(c.paceUntil, c.trySendFn)
 				return
 			}
 			// ±15% deterministic jitter desynchronizes the hundreds of
@@ -297,7 +364,7 @@ func (c *Conn) trySend() {
 			c.sendOne()
 			return
 		}
-		if len(c.inflight) >= limit {
+		if c.inflight.len() >= limit {
 			return
 		}
 		c.sendOne()
@@ -313,12 +380,12 @@ func (c *Conn) sendOne() {
 	p := c.pool.Data(c.nextID, c.flow, c.queue, seq, c.cfg.MTU)
 	c.nextID++
 	p.ReqID = seq / uint64(c.cfg.ReadSize/c.cfg.MTU)
-	if _, started := c.readStart[p.ReqID]; !started {
+	if c.reads.get(p.ReqID) == nil {
 		// First packet of a 16 KB read: the RPC clock starts here
 		// (retransmissions do not reset it).
-		c.readStart[p.ReqID] = c.engine.Now()
+		c.reads.push(p.ReqID, readInfo{start: c.engine.Now()})
 	}
-	c.inflight[seq] = &sentInfo{at: c.engine.Now(), payload: c.cfg.MTU}
+	c.inflight.push(seq, sentInfo{at: c.engine.Now(), payload: c.cfg.MTU})
 	c.sent.Inc()
 	c.emit(c.sender, p)
 }
@@ -328,28 +395,27 @@ func (c *Conn) sendOne() {
 func (c *Conn) completeReadPacket(seq uint64) {
 	per := c.cfg.ReadSize / c.cfg.MTU
 	req := seq / uint64(per)
-	c.readAcked[req]++
-	if c.readAcked[req] < per {
+	r := c.reads.get(req)
+	r.acked++
+	if r.acked < per {
 		return
 	}
-	if start, ok := c.readStart[req]; ok {
-		c.readHist.Observe(float64(c.engine.Now().Sub(start)))
-	}
-	delete(c.readStart, req)
-	delete(c.readAcked, req)
+	c.readHist.Observe(float64(c.engine.Now().Sub(r.start)))
+	c.reads.retire(req)
 }
 
 // OnAck processes an acknowledgement arriving from the fabric.
 func (c *Conn) OnAck(a *pkt.Packet) {
-	info, ok := c.inflight[a.AckSeq]
-	if !ok {
+	info := c.inflight.get(a.AckSeq)
+	if info == nil {
 		return // duplicate ack for an already-retired packet
 	}
-	delete(c.inflight, a.AckSeq)
+	sentAt, retx := info.at, info.retx
+	c.inflight.retire(a.AckSeq)
 	c.completeReadPacket(a.AckSeq)
 	now := c.engine.Now()
-	rtt := now.Sub(info.at)
-	if info.retx == 0 {
+	rtt := now.Sub(sentAt)
+	if retx == 0 {
 		// Karn's rule: only un-retransmitted samples update the RTT.
 		if c.srtt == 0 {
 			c.srtt = rtt
@@ -379,11 +445,12 @@ func (c *Conn) OnAck(a *pkt.Packet) {
 // Loss episodes then end within ~1 RTT instead of a full RTO.
 func (c *Conn) fastRetransmit(ackedSeq uint64) {
 	lost := false
-	for _, seq := range c.sortedInflight() {
-		if seq >= ackedSeq {
+	w := &c.inflight
+	for i := 0; i < w.span() && w.base+uint64(i) < ackedSeq; i++ {
+		info, live := w.at(i)
+		if !live {
 			continue
 		}
-		info := c.inflight[seq]
 		info.laterAcks++
 		if info.laterAcks < fastRetxDupAcks {
 			continue
@@ -392,11 +459,7 @@ func (c *Conn) fastRetransmit(ackedSeq uint64) {
 		info.at = c.engine.Now()
 		info.retx++
 		info.laterAcks = 0
-		c.retx.Inc()
-		p := c.pool.Data(c.nextID, c.flow, c.queue, seq, info.payload)
-		c.nextID++
-		p.ReqID = seq / uint64(c.cfg.ReadSize/c.cfg.MTU)
-		c.emit(c.sender, p)
+		c.resend(w.base+uint64(i), info.payload)
 	}
 	if lost {
 		c.losses.Inc()
@@ -404,16 +467,13 @@ func (c *Conn) fastRetransmit(ackedSeq uint64) {
 	}
 }
 
-// sortedInflight returns outstanding sequences in ascending order:
-// iterating the map directly would retransmit in random order and break
-// run reproducibility.
-func (c *Conn) sortedInflight() []uint64 {
-	seqs := make([]uint64, 0, len(c.inflight))
-	for seq := range c.inflight {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs
+// resend retransmits seq as a fresh packet.
+func (c *Conn) resend(seq uint64, payload int) {
+	c.retx.Inc()
+	p := c.pool.Data(c.nextID, c.flow, c.queue, seq, payload)
+	c.nextID++
+	p.ReqID = seq / uint64(c.cfg.ReadSize/c.cfg.MTU)
+	c.emit(c.sender, p)
 }
 
 // rto returns the current retransmission timeout.
@@ -432,8 +492,12 @@ func (c *Conn) scanRetransmits() {
 	now := c.engine.Now()
 	rto := c.rto()
 	lost := false
-	for _, seq := range c.sortedInflight() {
-		info := c.inflight[seq]
+	w := &c.inflight
+	for i := 0; i < w.span(); i++ {
+		info, live := w.at(i)
+		if !live {
+			continue
+		}
 		// Exponential backoff per retransmission: the smoothed RTT lags
 		// badly when host queues balloon (Karn's rule excludes
 		// retransmitted samples), and without backoff a too-short RTO
@@ -457,11 +521,7 @@ func (c *Conn) scanRetransmits() {
 		info.at = now
 		info.retx++
 		info.laterAcks = 0
-		c.retx.Inc()
-		p := c.pool.Data(c.nextID, c.flow, c.queue, seq, info.payload)
-		c.nextID++
-		p.ReqID = seq / uint64(c.cfg.ReadSize/c.cfg.MTU)
-		c.emit(c.sender, p)
+		c.resend(w.base+uint64(i), info.payload)
 	}
 	if lost {
 		c.losses.Inc()
@@ -486,6 +546,6 @@ func (c *Conn) Stats() Stats {
 		AckedBytes:    c.ackedB.Value(),
 		Retransmits:   c.retx.Value(),
 		LossEvents:    c.losses.Value(),
-		InflightCount: len(c.inflight),
+		InflightCount: c.inflight.len(),
 	}
 }
