@@ -135,8 +135,11 @@ cluster:
 
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz FuzzReader -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzSeqWindow -fuzztime 30s ./internal/transport/
+	$(GO) test -fuzz FuzzInflightWindow -fuzztime 30s ./internal/transport/
 	$(GO) test -fuzz FuzzHistogram -fuzztime 30s ./internal/metrics/
+	$(GO) test -fuzz FuzzEngineOrder -fuzztime 30s ./internal/sim/
 
 cover:
 	$(GO) test -short -cover ./internal/...

@@ -352,7 +352,7 @@ func flowID(sender, queue int) uint32 { return uint32(sender)<<16 | uint32(queue
 func flowSender(flow uint32) int { return int(flow >> 16) }
 
 // Runtime carries pre-allocated simulation state for reuse across runs:
-// the engine (with its event free list), the packet pool (with its free
+// the engine (with its event node pool), the packet pool (with its free
 // list), and the metrics registry. The worker-pool arenas in
 // internal/runner own one Runtime's worth of state per worker; nil
 // fields mean "create fresh", so the zero Runtime reproduces New's

@@ -7,7 +7,7 @@
 // Two properties make 100k-host fleets tractable on a laptop:
 //
 //   - Arena reuse. Each worker slot owns an Arena holding a sim.Engine
-//     (with its event free list), a pkt.Pool (packet free list), and a
+//     (with its event node pool), a pkt.Pool (packet free list), and a
 //     metrics.Registry. Between runs the arena is reset, not
 //     reallocated, so the steady-state cost of one more fleet host is
 //     the simulation itself rather than setup and GC churn. Reset state

@@ -100,6 +100,35 @@ func TestEngineRunHorizonStopsBeforeLaterEvents(t *testing.T) {
 	}
 }
 
+// TestEngineRunNeverRewindsClock pins that a horizon behind Now runs
+// nothing and leaves the clock alone, so the scheduling-into-the-past
+// guard still holds afterwards.
+func TestEngineRunNeverRewindsClock(t *testing.T) {
+	e := NewEngine(1)
+	e.At(100, func() {})
+	e.Run(100)
+	fired := false
+	e.At(200, func() { fired = true })
+	if got := e.Run(50); got != 100 {
+		t.Errorf("Run(50) at Now()=100 returned %v, want 100", got)
+	}
+	if e.Now() != 100 {
+		t.Fatalf("Run(50) moved the clock to %v, want 100", e.Now())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("At(60) after Run(50) at Now()=100 did not panic")
+			}
+		}()
+		e.At(60, func() {})
+	}()
+	e.Run(200)
+	if !fired || e.Now() != 200 {
+		t.Errorf("event at 200: fired=%v Now()=%v, want true and 200", fired, e.Now())
+	}
+}
+
 func TestEngineEventAtExactlyHorizonRuns(t *testing.T) {
 	e := NewEngine(1)
 	fired := false

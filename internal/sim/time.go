@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // used by every substrate in this repository: an int64-nanosecond clock, a
-// binary-heap event queue with stable tie-breaking, and a seeded
+// radix-heap event queue with stable tie-breaking, and a seeded
 // pseudo-random number generator.
 //
 // A single Engine is single-threaded by construction; independent engines
