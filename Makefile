@@ -87,15 +87,13 @@ bench-serve:
 	$(GO) run ./cmd/hicbench -out results/bench_serve.json -serve-only -serve-hosts 400
 	$(GO) run ./cmd/hicbench -compare-tol 0.75 -compare BENCH_hotpath.json results/bench_serve.json
 
-# bench-cold is the cold-path acceleration gate: the never-seen auto
-# fleet at smoke scale with knee search and calibration transfer off
-# then on (rates skip against the committed 10k baseline — host counts
-# differ), plus the sharded determinism check. Two gates are
-# tolerance-free at any scale: no audited point in the accelerated pass
-# may exceed tolerance (the accelerations must not buy speed with
-# error), and the 1-worker and 2-worker coordinator runs must
-# hash-match the in-process run (located knees and borrowed
-# calibrations may not depend on shard order).
+# bench-cold is the cold-path gate: one never-seen auto fleet at smoke
+# scale calibrated from empty stores (rates skip against the committed
+# 10k baseline — host counts differ), plus the sharded determinism
+# check. Two gates are tolerance-free at any scale: no audited point
+# may exceed tolerance, and the 1-worker and 2-worker coordinator runs
+# must hash-match the in-process run (calibration may not depend on
+# shard order or on which worker prefetched a signature).
 bench-cold:
 	mkdir -p results
 	$(GO) run ./cmd/hicbench -out results/bench_cold.json -cold-only -cold-hosts 500

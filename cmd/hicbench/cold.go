@@ -14,59 +14,36 @@ import (
 	"hic/internal/serve"
 )
 
-// coldPathBench is the cold-path acceleration section: the same
-// never-seen auto-routed fleet run twice in one process — once with the
-// cold-path accelerations off (knee search and calibration transfer
-// disabled: the pre-acceleration cold baseline) and once with them on —
-// so Speedup is a pure strategy ratio, independent of the machine the
-// bench happens to run on. Accuracy stays hard-gated: the accelerated
-// pass audits at the same -audit-rate, and any audited point over
-// tolerance fails -compare unconditionally.
+// coldPathBench is the cold-path section: a never-seen auto-routed
+// fleet calibrated from empty stores, with its audit outcome, plus the
+// sharded determinism check. Accuracy stays hard-gated: the pass audits
+// at the same -audit-rate, and any audited point over tolerance fails
+// -compare unconditionally.
 //
-// The sharded determinism check replays the accelerated query through a
-// cold coordinator twice — one worker, then two workers racing prefetch
+// The sharded determinism check replays the query through a cold
+// coordinator twice — one worker, then two workers racing prefetch
 // leases and ranges — and both aggregate hashes must equal the
-// in-process run's. That is the knee-search/transfer analogue of the
-// serve section's hash gate: located knees and borrowed calibrations
-// must be pure functions of the query, never of which worker touched a
-// signature first.
+// in-process run's: calibration must be a pure function of the query,
+// never of which worker touched a signature first.
 type coldPathBench struct {
 	Hosts        int     `json:"hosts"`
 	FidelityMode string  `json:"fidelity_mode,omitempty"`
 	Tol          float64 `json:"tol"`
 	AuditRate    float64 `json:"audit_rate"`
 
-	// Baseline: empty stores, knee search and transfer off.
-	BaselineWallSeconds  float64 `json:"baseline_wall_seconds"`
-	BaselineHostsPerSec  float64 `json:"baseline_hosts_per_sec"`
-	BaselineSimulated    uint64  `json:"baseline_simulated"`
-	BaselineAnchorRuns   uint64  `json:"baseline_anchor_runs"`
-	BaselineAudited      uint64  `json:"baseline_audited"`
-	BaselineAuditOverTol uint64  `json:"baseline_audit_over_tol"`
-	BaselineAuditMaxErr  float64 `json:"baseline_audit_max_err"`
+	ColdWallSeconds float64 `json:"cold_wall_seconds"`
+	ColdHostsPerSec float64 `json:"cold_hosts_per_sec"`
+	Simulated       uint64  `json:"simulated"`
+	FluidRouted     uint64  `json:"fluid_routed"`
+	AnchorRuns      uint64  `json:"anchor_runs"`
+	Audited         uint64  `json:"audited"`
+	AuditOverTol    uint64  `json:"audit_over_tol"`
+	AuditMaxErr     float64 `json:"audit_max_err"`
 
-	// Accelerated: empty stores, knee search and transfer on (router
-	// defaults, the same configuration the CLIs ship).
-	ColdWallSeconds   float64 `json:"cold_wall_seconds"`
-	ColdHostsPerSec   float64 `json:"cold_hosts_per_sec"`
-	Simulated         uint64  `json:"simulated"`
-	FluidRouted       uint64  `json:"fluid_routed"`
-	AnchorRuns        uint64  `json:"anchor_runs"`
-	AnchorTransferred uint64  `json:"anchor_transferred"`
-	AnchorRefined     uint64  `json:"anchor_refined"`
-	KneeProbes        uint64  `json:"knee_probes"`
-	KneeBypassed      uint64  `json:"knee_bypassed"`
-	Audited           uint64  `json:"audited"`
-	AuditOverTol      uint64  `json:"audit_over_tol"`
-	AuditMaxErr       float64 `json:"audit_max_err"`
-
-	// Speedup is accelerated over baseline cold hosts/sec.
-	Speedup float64 `json:"speedup"`
-
-	// Sharded determinism: the accelerated query served cold by a
-	// coordinator with one worker, then by a second coordinator with two
-	// workers (prefetch leases split across both); each hash must equal
-	// the in-process run's. A smaller fleet than the headline passes —
+	// Sharded determinism: the query served cold by a coordinator with
+	// one worker, then by a second coordinator with two workers
+	// (prefetch leases split across both); each hash must equal the
+	// in-process run's. A smaller fleet than the headline pass —
 	// determinism does not get harder with size, wall-clock does.
 	ShardHosts    int    `json:"shard_hosts"`
 	InProcessHash string `json:"in_process_hash"`
@@ -78,9 +55,9 @@ type coldPathBench struct {
 	Prefetched int `json:"prefetched"`
 }
 
-// runColdFleet runs one cold auto-routed fleet pass with the given
-// acceleration switches and fresh router state.
-func runColdFleet(label string, hosts int, tol, auditRate float64, accel bool) (cluster.Stats, float64, error) {
+// runAutoFleet runs one auto-routed fleet pass (early stopping, audits)
+// over fresh router state and no run cache.
+func runAutoFleet(label string, hosts int, tol, auditRate float64) (cluster.Stats, float64, error) {
 	cfg := fleetConfig(hosts)
 	router, err := fidelity.New(fidelity.Config{
 		Mode:        fidelity.ModeAuto,
@@ -88,8 +65,6 @@ func runColdFleet(label string, hosts int, tol, auditRate float64, accel bool) (
 		AuditRate:   auditRate,
 		EarlyStop:   true,
 		AnchorSeeds: cluster.SeedPool(cfg),
-		KneeSearch:  accel,
-		Transfer:    accel,
 	})
 	if err != nil {
 		return cluster.Stats{}, 0, err
@@ -98,8 +73,8 @@ func runColdFleet(label string, hosts int, tol, auditRate float64, accel bool) (
 	return runSection(cfg, label)
 }
 
-// coldQuery serves the accelerated query cold through a fresh
-// coordinator with n in-process workers and returns the result.
+// coldQuery serves the query cold through a fresh coordinator with n
+// in-process workers and returns the result.
 func coldQuery(spec serve.QueryRequest, n int) (*serve.QueryResult, error) {
 	dir, err := os.MkdirTemp("", "hicbench-cold-shard-")
 	if err != nil {
@@ -132,54 +107,34 @@ func coldQuery(spec serve.QueryRequest, n int) (*serve.QueryResult, error) {
 	return serve.NewClient(base, nil).Query(ctx, spec, nil)
 }
 
-// runColdPath measures the cold-path section. When the fidelity section
-// already ran the identical baseline configuration at the same scale,
-// its pass is reused instead of re-run (the baseline is knee search and
-// transfer off, which is exactly what runFleetFidelity measures).
+// runColdPath measures the cold-path section. When the fidelity
+// section already ran the same auto fleet at the same scale, its pass
+// is reused instead of re-run.
 func runColdPath(hosts int, tol, auditRate float64, fid *fidelityBench) (coldPathBench, error) {
 	cb := coldPathBench{Hosts: hosts, FidelityMode: "auto", Tol: tol, AuditRate: auditRate}
 
 	if fid != nil && fid.Hosts == hosts && fid.Tol == tol && fid.AuditRate == auditRate {
-		cb.BaselineWallSeconds = fid.WallSeconds
-		cb.BaselineHostsPerSec = fid.HostsPerSec
-		cb.BaselineSimulated = fid.Simulated
-		cb.BaselineAnchorRuns = fid.AnchorRuns
-		cb.BaselineAudited = fid.Audited
-		cb.BaselineAuditOverTol = fid.AuditOverTol
-		cb.BaselineAuditMaxErr = fid.AuditMaxErr
+		cb.ColdWallSeconds = fid.WallSeconds
+		cb.Simulated = fid.Simulated
+		cb.FluidRouted = fid.FluidRouted
+		cb.AnchorRuns = fid.AnchorRuns
+		cb.Audited = fid.Audited
+		cb.AuditOverTol = fid.AuditOverTol
+		cb.AuditMaxErr = fid.AuditMaxErr
 	} else {
-		st, wall, err := runColdFleet("cold baseline", hosts, tol, auditRate, false)
+		st, wall, err := runAutoFleet("cold auto", hosts, tol, auditRate)
 		if err != nil {
 			return cb, err
 		}
-		cb.BaselineWallSeconds = wall
-		cb.BaselineHostsPerSec = float64(hosts) / wall
-		cb.BaselineSimulated = st.Simulated
-		cb.BaselineAnchorRuns = st.AnchorRuns
-		cb.BaselineAudited = st.Audited
-		cb.BaselineAuditOverTol = st.AuditOverTol
-		cb.BaselineAuditMaxErr = st.AuditMaxErr
+		cb.ColdWallSeconds = wall
+		cb.Simulated = st.Simulated
+		cb.FluidRouted = st.FluidRouted
+		cb.AnchorRuns = st.AnchorRuns
+		cb.Audited = st.Audited
+		cb.AuditOverTol = st.AuditOverTol
+		cb.AuditMaxErr = st.AuditMaxErr
 	}
-
-	st, wall, err := runColdFleet("cold accel", hosts, tol, auditRate, true)
-	if err != nil {
-		return cb, err
-	}
-	cb.ColdWallSeconds = wall
-	cb.ColdHostsPerSec = float64(hosts) / wall
-	cb.Simulated = st.Simulated
-	cb.FluidRouted = st.FluidRouted
-	cb.AnchorRuns = st.AnchorRuns
-	cb.AnchorTransferred = st.AnchorTransferred
-	cb.AnchorRefined = st.AnchorRefined
-	cb.KneeProbes = st.KneeProbes
-	cb.KneeBypassed = st.KneeBypassed
-	cb.Audited = st.Audited
-	cb.AuditOverTol = st.AuditOverTol
-	cb.AuditMaxErr = st.AuditMaxErr
-	if cb.BaselineHostsPerSec > 0 {
-		cb.Speedup = cb.ColdHostsPerSec / cb.BaselineHostsPerSec
-	}
+	cb.ColdHostsPerSec = float64(hosts) / cb.ColdWallSeconds
 	if cb.AuditOverTol > 0 {
 		fmt.Fprintf(os.Stderr, "hicbench: WARNING: cold path: %d/%d audited points exceeded tol %.3f (max err %.4f)\n",
 			cb.AuditOverTol, cb.Audited, tol, cb.AuditMaxErr)
@@ -223,8 +178,6 @@ func runColdPath(hosts int, tol, auditRate float64, fid *fidelityBench) (coldPat
 		EarlyStop:   true,
 		AnchorSeeds: cluster.SeedPool(scfg),
 		Cache:       store,
-		KneeSearch:  true,
-		Transfer:    true,
 	})
 	if err != nil {
 		return cb, err

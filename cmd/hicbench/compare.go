@@ -176,19 +176,16 @@ func compareReports(oldRep, newRep report, tol float64) cmpResult {
 		c.skipNote("fidelity rates", float64(oldRep.Fidelity.Hosts), float64(newRep.Fidelity.Hosts))
 	}
 
-	// Cold path: the accelerated cold rate and the acceleration ratio
-	// are noisy-class at matching scale. The correctness contracts are
-	// unconditional: an audited point over tolerance in the accelerated
-	// pass is an accuracy violation (the accelerations must not buy
-	// speed with error), and a sharded hash mismatch means a located
-	// knee or a borrowed calibration depended on which worker touched a
-	// signature first.
+	// Cold path: the cold rate is noisy-class at matching scale. The
+	// correctness contracts are unconditional: an audited point over
+	// tolerance is an accuracy violation, and a sharded hash mismatch
+	// means calibration depended on which worker touched a signature
+	// first.
 	if oldRep.ColdPath.Hosts > 0 && newRep.ColdPath.Hosts > 0 {
 		if oldRep.ColdPath.Hosts == newRep.ColdPath.Hosts {
 			if c.sameMode("cold_path rates", oldRep.ColdPath.FidelityMode, "",
 				newRep.ColdPath.FidelityMode, "") {
 				c.higherBetter("cold_path.cold_hosts_per_sec", oldRep.ColdPath.ColdHostsPerSec, newRep.ColdPath.ColdHostsPerSec, tol)
-				c.higherBetter("cold_path.speedup", oldRep.ColdPath.Speedup, newRep.ColdPath.Speedup, tol)
 			}
 		} else {
 			c.notef("skip cold_path rates: host counts differ (%d vs %d)",
@@ -203,7 +200,7 @@ func compareReports(oldRep, newRep report, tol float64) cmpResult {
 				newRep.ColdPath.AuditOverTol, newRep.ColdPath.AuditMaxErr, newRep.ColdPath.Tol)
 		}
 		if !newRep.ColdPath.HashMatch {
-			c.failf("cold_path.hash_match = false (in-process %s, one-worker %s, two-worker %s): knee/transfer state leaked shard order, fails unconditionally",
+			c.failf("cold_path.hash_match = false (in-process %s, one-worker %s, two-worker %s): calibration leaked shard order, fails unconditionally",
 				newRep.ColdPath.InProcessHash, newRep.ColdPath.OneWorkerHash, newRep.ColdPath.TwoWorkerHash)
 		}
 	}

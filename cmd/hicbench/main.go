@@ -23,9 +23,8 @@
 //     -fidelity=auto routing (calibrated fluid + early stopping +
 //     audit), reporting hosts/sec, the routing counters, and the
 //     speedup over the pure-DES fleet section above;
-//   - cold_path: the never-seen auto fleet with knee search and
-//     calibration transfer off then on, plus the sharded determinism
-//     check;
+//   - cold_path: the never-seen auto fleet calibrated from empty
+//     stores, plus the sharded determinism check;
 //   - warm_start: the cross-run warm start — the auto-routed fleet run
 //     cold then warm against one persistent store (anchors reloaded,
 //     DES points resumed from checkpoints), plus one warm-resumed
@@ -136,14 +135,18 @@ func runFig6() (fig6Scenario, error) {
 	p := core.DefaultParams(12)
 	p.AntagonistCores = 8
 	p.Warmup, p.Measure = 4*sim.Millisecond, 6*sim.Millisecond
-	tb, err := p.Build()
+	var wall float64
+	var ev uint64
+	res, err := core.Simulate(p, nil, func(tb *host.Testbed, p core.Params) core.Results {
+		start := time.Now()
+		res := tb.Run(p.Warmup, p.Measure)
+		wall = time.Since(start).Seconds()
+		ev = tb.Engine.Processed()
+		return res
+	})
 	if err != nil {
 		return fig6Scenario{}, err
 	}
-	start := time.Now()
-	res := tb.Run(p.Warmup, p.Measure)
-	wall := time.Since(start).Seconds()
-	ev := tb.Engine.Processed()
 	return fig6Scenario{
 		WallSeconds:  wall,
 		Events:       ev,
@@ -171,20 +174,25 @@ func runObservatory(off fig6Scenario) (observatoryBench, error) {
 	p := core.DefaultParams(12)
 	p.AntagonistCores = 8
 	p.Warmup, p.Measure = 4*sim.Millisecond, 6*sim.Millisecond
-	tb, err := p.Build()
-	if err != nil {
+	var wall float64
+	var ev uint64
+	var hr *observatory.HostReport
+	if _, err := core.Simulate(p, nil, func(tb *host.Testbed, p core.Params) core.Results {
+		mon := observatory.Attach(tb, observatory.DefaultConfig())
+		start := time.Now()
+		res := tb.Run(p.Warmup, p.Measure)
+		wall = time.Since(start).Seconds()
+		ev = tb.Engine.Processed()
+		hr = mon.Report()
+		return res
+	}); err != nil {
 		return observatoryBench{}, err
 	}
-	mon := observatory.Attach(tb, observatory.DefaultConfig())
-	start := time.Now()
-	tb.Run(p.Warmup, p.Measure)
-	wall := time.Since(start).Seconds()
-	hr := mon.Report()
 	ob := observatoryBench{
 		SamplerOffWallSeconds:  off.WallSeconds,
 		SamplerOnWallSeconds:   wall,
 		SamplerOffEventsPerSec: off.EventsPerSec,
-		SamplerOnEventsPerSec:  float64(tb.Engine.Processed()) / wall,
+		SamplerOnEventsPerSec:  float64(ev) / wall,
 		Episodes:               len(hr.Episodes),
 		Samples:                hr.Samples,
 	}
@@ -359,20 +367,8 @@ func runFleetFidelity(hosts int, tol, auditRate, desHostsPerSec float64) (fideli
 		fb.PointSpeedup = des.WallSeconds * 1e9 / fb.FluidPointNs
 	}
 
-	cfg := fleetConfig(hosts)
-	router, err := fidelity.New(fidelity.Config{
-		Mode:        fidelity.ModeAuto,
-		Tol:         tol,
-		AuditRate:   auditRate,
-		EarlyStop:   true,
-		AnchorSeeds: cluster.SeedPool(cfg),
-	})
-	if err != nil {
-		return fidelityBench{}, err
-	}
-	cfg.Exec = router
 	mp := startMemPeak()
-	st, wall, err := runSection(cfg, "fleet auto")
+	st, wall, err := runAutoFleet("fleet auto", hosts, tol, auditRate)
 	fb.WallSeconds = wall
 	fb.PeakMemBytes = mp.Stop()
 	if err != nil {
@@ -571,11 +567,9 @@ type report struct {
 	Observatory observatoryBench `json:"observatory"`
 	Fleet       fleetBench       `json:"fleet"`
 	Fidelity    fidelityBench    `json:"fidelity"`
-	// ColdPath is the cold-path acceleration pair: the never-seen
-	// auto-routed fleet with knee search and calibration transfer off
-	// (the pre-acceleration baseline) then on, plus the sharded
-	// determinism check (1-worker and 2-worker coordinator runs must
-	// hash-match the in-process run).
+	// ColdPath is the never-seen auto-routed fleet calibrated from
+	// empty stores, plus the sharded determinism check (1-worker and
+	// 2-worker coordinator runs must hash-match the in-process run).
 	ColdPath coldPathBench `json:"cold_path"`
 	// WarmStart is the cross-run warm-start pair: the auto-routed fleet
 	// cold (calibrating, donating checkpoints) then warm (fresh router,
@@ -601,8 +595,8 @@ func main() {
 	fidelityTol := flag.Float64("fidelity-tol", 0.10, "auto-routing tolerance for the fidelity fleet bench")
 	auditRate := flag.Float64("audit-rate", 0.05, "fraction of fluid-routed hosts shadow-run under DES in the fidelity fleet bench")
 	noFidelity := flag.Bool("no-fidelity", false, "skip the fidelity (auto-routed fleet) section")
-	coldHosts := flag.Int("cold-hosts", 10000, "fleet size for the cold_path (knee search + calibration transfer) section (0 skips it)")
-	noCold := flag.Bool("no-cold", false, "skip the cold_path (cold-path acceleration) section")
+	coldHosts := flag.Int("cold-hosts", 10000, "fleet size for the cold_path (never-seen auto fleet) section (0 skips it)")
+	noCold := flag.Bool("no-cold", false, "skip the cold_path (never-seen auto fleet) section")
 	coldOnly := flag.Bool("cold-only", false, "run only the cold_path section, skipping everything else")
 	warmAuditRate := flag.Float64("warm-audit-rate", 0.05, "fraction of warm-startable points re-run cold under DES in the warm-start fleet bench")
 	noWarm := flag.Bool("no-warm", false, "skip the warm_start (cold-then-warm fleet) section")
@@ -712,8 +706,8 @@ func main() {
 
 	if *coldHosts > 0 && !*noCold && !*fleetOnly && !*warmOnly && !*serveOnly {
 		orun.SetPhase("cold_path")
-		// Reuse the fidelity section's pass as the baseline when it ran
-		// the identical configuration at the same scale.
+		// Reuse the fidelity section's pass when it ran the same auto
+		// fleet at the same scale.
 		var fid *fidelityBench
 		if rep.Fidelity.Hosts > 0 {
 			fid = &rep.Fidelity
@@ -763,11 +757,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hicbench: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (fig6 %.1fM events/s, fleet %.1f hosts/s, auto %.1f hosts/s %.2fx, cold %.1f hosts/s %.2fx, warm %.1f hosts/s %.2fx, serve scaling %.2fx warm %.2fx)\n",
+	fmt.Fprintf(os.Stderr, "wrote %s (fig6 %.1fM events/s, fleet %.1f hosts/s, auto %.1f hosts/s %.2fx, cold %.1f hosts/s, warm %.1f hosts/s %.2fx, serve scaling %.2fx warm %.2fx)\n",
 		*out, rep.Fig6.EventsPerSec/1e6,
 		rep.Fleet.HostsPerSec,
 		rep.Fidelity.HostsPerSec, rep.Fidelity.SpeedupVsDES,
-		rep.ColdPath.ColdHostsPerSec, rep.ColdPath.Speedup,
+		rep.ColdPath.ColdHostsPerSec,
 		rep.WarmStart.WarmHostsPerSec, rep.WarmStart.WarmSpeedup,
 		rep.Serve.ScalingRatio, rep.Serve.WarmSpeedup)
 }

@@ -119,11 +119,6 @@ func runServe(hosts int, tol float64) (serveBench, error) {
 		EarlyStop:   true,
 		AnchorSeeds: cluster.SeedPool(scfg),
 		Cache:       sstore,
-		// Workers enable knee search and transfer unless the spec
-		// disables them (serve.Worker routerFor); the reference must
-		// route identically or the hash gate is comparing strategies.
-		KneeSearch: true,
-		Transfer:   true,
 	})
 	if err != nil {
 		return sb, err

@@ -187,10 +187,9 @@ func main() {
 			note := fmt.Sprintf("slots %db/%di", ps.Busy, ps.Idle+ps.Draining)
 			if router != nil {
 				// Live anchor accounting: cold-start cost (and what
-				// transfer/warm start saved) visible mid-run.
+				// warm start saved) visible mid-run.
 				c := router.Counters()
-				note += fmt.Sprintf("; anchors %d run/%d loaded/%d transferred",
-					c.AnchorRuns, c.AnchorLoaded, c.AnchorTransferred)
+				note += fmt.Sprintf("; anchors %d run/%d loaded", c.AnchorRuns, c.AnchorLoaded)
 			}
 			if store != nil {
 				note += "; cache " + store.Summary()
@@ -265,19 +264,11 @@ func main() {
 		if router != nil {
 			fmt.Fprintf(os.Stderr, "fidelity: %d fluid-routed, %d early-stopped, %d anchor runs",
 				stats.FluidRouted, stats.EarlyStopped, stats.AnchorRuns)
-			if stats.AnchorTransferred+stats.AnchorRefined > 0 {
-				fmt.Fprintf(os.Stderr, ", %d transferred, %d refined",
-					stats.AnchorTransferred, stats.AnchorRefined)
-			}
 			if stats.Audited > 0 {
 				fmt.Fprintf(os.Stderr, "; audited %d max-err %.4f (%d over tol %.3f)",
 					stats.Audited, stats.AuditMaxErr, stats.AuditOverTol, router.Tol())
 			}
 			fmt.Fprintln(os.Stderr)
-			if stats.KneeProbes+stats.KneeBypassed > 0 {
-				fmt.Fprintf(os.Stderr, "knee search: %d probes, %d knee-band hosts fluid-routed past the located knee\n",
-					stats.KneeProbes, stats.KneeBypassed)
-			}
 			if stats.AnchorLoaded+stats.AnchorPersisted+stats.WarmStarted+stats.WarmCheckpoints > 0 {
 				fmt.Fprintf(os.Stderr, "warm start: %d anchors loaded, %d persisted, %d hosts warm-started, %d checkpoints captured",
 					stats.AnchorLoaded, stats.AnchorPersisted, stats.WarmStarted, stats.WarmCheckpoints)

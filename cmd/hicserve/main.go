@@ -81,8 +81,6 @@ func main() {
 	estop := flag.Bool("estop", false, "query: early-stop measurement windows once estimates converge")
 	warm := flag.String("warm", "", "query: cross-run warm start: off, calib, or full ('' = off)")
 	noCache := flag.Bool("no-cache", false, "query: bypass the shared run cache")
-	noKnee := flag.Bool("no-knee-search", false, "query: disable adaptive knee localization (keep full knee bands DES-forced)")
-	noTransfer := flag.Bool("no-transfer", false, "query: disable cross-signature calibration transfer")
 	noPrefetch := flag.Bool("no-prefetch", false, "query: disable signature prefetch leases (workers calibrate lazily)")
 	rangeHosts := flag.Int("range-hosts", 0, "query: hosts per shard range (0 = auto)")
 	csv := flag.Bool("csv", false, "query: stream per-host CSV to stdout instead of the result JSON")
@@ -107,8 +105,6 @@ func main() {
 			EarlyStop:      *estop,
 			Warm:           *warm,
 			NoCache:        *noCache,
-			NoKneeSearch:   *noKnee,
-			NoTransfer:     *noTransfer,
 			NoPrefetch:     *noPrefetch,
 			RangeHosts:     *rangeHosts,
 			TimeoutSec:     *timeoutSec,

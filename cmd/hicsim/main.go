@@ -17,9 +17,11 @@ import (
 	"os"
 
 	"hic/internal/core"
+	"hic/internal/host"
 	"hic/internal/sim"
 	"hic/internal/telemetry"
 	"hic/internal/trace"
+	"hic/internal/wire"
 )
 
 func main() {
@@ -80,19 +82,12 @@ func main() {
 	p.Warmup = sim.Duration(*warmupMS) * sim.Millisecond
 	p.Measure = sim.Duration(*measureMS) * sim.Millisecond
 
-	tb, err := p.Build()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hicsim: %v\n", err)
-		os.Exit(1)
-	}
-	var rec *trace.Recorder
-	if *tracePath != "" {
-		rec = tb.EnableTrace(sim.Duration(*traceUS) * sim.Microsecond)
-	}
-	var telem *telemetry.Run
-	if *traceSpans || *traceOut != "" {
-		telem = tb.EnableSpans(*spanRate)
-	}
+	var (
+		tb    *host.Testbed
+		rec   *trace.Recorder
+		telem *telemetry.Run
+		cw    *wire.Writer
+	)
 	var capFile *os.File
 	if *capturePath != "" {
 		var err error
@@ -101,13 +96,28 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hicsim: %v\n", err)
 			os.Exit(1)
 		}
-		cw := tb.EnableCapture(capFile)
 		defer func() {
 			fmt.Fprintf(os.Stderr, "wrote %s (%d packets)\n", *capturePath, cw.Count())
 			capFile.Close()
 		}()
 	}
-	res := tb.Run(p.Warmup, p.Measure)
+	res, err := core.Simulate(p, nil, func(t *host.Testbed, p core.Params) core.Results {
+		tb = t
+		if *tracePath != "" {
+			rec = tb.EnableTrace(sim.Duration(*traceUS) * sim.Microsecond)
+		}
+		if *traceSpans || *traceOut != "" {
+			telem = tb.EnableSpans(*spanRate)
+		}
+		if capFile != nil {
+			cw = tb.EnableCapture(capFile)
+		}
+		return tb.Run(p.Warmup, p.Measure)
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hicsim: %v\n", err)
+		os.Exit(1)
+	}
 	if rec != nil {
 		if err := os.WriteFile(*tracePath, []byte(rec.Wide()), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "hicsim: %v\n", err)

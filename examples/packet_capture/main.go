@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"hic/internal/core"
+	"hic/internal/host"
 	"hic/internal/sim"
 	"hic/internal/wire"
 )
@@ -24,13 +25,15 @@ func main() {
 	p.Warmup = 2 * sim.Millisecond
 	p.Measure = 4 * sim.Millisecond
 
-	tb, err := p.Build()
+	var buf bytes.Buffer
+	var cw *wire.Writer
+	res, err := core.Simulate(p, nil, func(tb *host.Testbed, p core.Params) core.Results {
+		cw = tb.EnableCapture(&buf)
+		return tb.Run(p.Warmup, p.Measure)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	var buf bytes.Buffer
-	cw := tb.EnableCapture(&buf)
-	res := tb.Run(p.Warmup, p.Measure)
 
 	fmt.Printf("captured %d packets (%.1f MB) during a %.1f Gbps run\n",
 		cw.Count(), float64(buf.Len())/1e6, res.AppThroughputGbps)

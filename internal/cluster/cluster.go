@@ -414,21 +414,18 @@ func RunStream(cfg Config, emit func(Point) error) (Stats, error) {
 	return RunRange(cfg, 0, cfg.Hosts, emit)
 }
 
-// rosterScanCap bounds the SignatureReps host scan: the catalog has
+// signatureScanCap bounds the SignatureReps host scan: the catalog has
 // ~50 distinct signatures (5 SKUs × 10 workloads), so distinctness
 // saturates within a few hundred draws and scanning further buys
 // nothing. Param generation only — no simulation.
-const rosterScanCap = 65536
+const signatureScanCap = 65536
 
 // SignatureReps returns one representative host index per distinct
 // fidelity signature in the fleet, in first-occurrence order — the
-// work-list the serve coordinator shards into prefetch leases and the
-// roster calibration transfer clusters over.
+// work-list the serve coordinator shards into prefetch leases, so N
+// workers calibrate the fleet's signatures in parallel.
 func SignatureReps(cfg Config) []int {
-	n := cfg.Hosts
-	if n > rosterScanCap {
-		n = rosterScanCap
-	}
+	n := min(cfg.Hosts, signatureScanCap)
 	seen := make(map[string]bool)
 	var reps []int
 	for h := 0; h < n; h++ {
@@ -439,23 +436,6 @@ func SignatureReps(cfg Config) []int {
 		}
 	}
 	return reps
-}
-
-// InstallRoster installs the fleet's signature roster on a
-// transfer-enabled router so cross-signature calibration transfer has a
-// shard-order-independent hub/spoke assignment to work from. No-op (and
-// cheap to call per range) otherwise; re-installing the same fleet's
-// roster is detected and skipped inside SetRoster.
-func InstallRoster(cfg Config, r *fidelity.Router) {
-	if r == nil || !r.TransferEnabled() {
-		return
-	}
-	idx := SignatureReps(cfg)
-	ps := make([]core.Params, len(idx))
-	for i, h := range idx {
-		ps[i], _ = HostScenario(cfg, h)
-	}
-	r.SetRoster(ps)
 }
 
 // RouterDelta converts a router counter delta (after minus before) into
@@ -536,7 +516,6 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 		if r, ok := exec.(*fidelity.Router); ok {
 			router = r
 			routerBefore = r.Counters()
-			InstallRoster(cfg, r)
 		}
 	}
 

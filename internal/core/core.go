@@ -269,8 +269,10 @@ func (p Params) hostConfig() (host.Config, error) {
 	return cfg, nil
 }
 
-// Build constructs the testbed without running it, for callers that want
-// to instrument or drive it manually.
+// Build constructs the testbed without running it. Code that runs a
+// point goes through Simulate, handing a drive func to instrument or
+// read the testbed; Build is kept only because the bench module calls
+// it.
 func (p Params) Build() (*host.Testbed, error) {
 	return p.BuildOn(nil)
 }

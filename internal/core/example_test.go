@@ -5,7 +5,9 @@ import (
 	"log"
 
 	"hic/internal/core"
+	"hic/internal/host"
 	"hic/internal/sim"
+	"hic/internal/trace"
 )
 
 // Example reproduces one point of Figure 3 — the paper's baseline at 12
@@ -45,14 +47,17 @@ func ExampleRunEach() {
 	}
 }
 
-// ExampleParams_Build drives the testbed manually for time-series work.
-func ExampleParams_Build() {
+// ExampleSimulate instruments the testbed from a drive func for
+// time-series work.
+func ExampleSimulate() {
 	p := core.DefaultParams(8)
-	tb, err := p.Build()
+	var rec *trace.Recorder
+	_, err := core.Simulate(p, nil, func(tb *host.Testbed, p core.Params) core.Results {
+		rec = tb.EnableTrace(100 * sim.Microsecond)
+		return tb.Run(p.Warmup, p.Measure)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := tb.EnableTrace(100 * sim.Microsecond)
-	tb.Run(p.Warmup, p.Measure)
 	fmt.Printf("recorded %d samples across %d series\n", rec.Len(), len(rec.Names()))
 }

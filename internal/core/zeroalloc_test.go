@@ -16,7 +16,7 @@ import (
 // spans off — for 2 ms of warm-up, then for 1 ms more, and allows at
 // most one heap allocation per 100 delivered packets.
 func TestDESPointSteadyStateZeroAllocs(t *testing.T) {
-	tb, err := core.DefaultParams(12).Build()
+	tb, err := core.DefaultParams(12).BuildOn(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

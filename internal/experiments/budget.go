@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"hic/internal/core"
+	"hic/internal/host"
 )
 
 // ExtBudget decomposes the per-DMA latency into its stages — credit
@@ -34,11 +35,14 @@ func ExtBudget(o Options) (*Table, error) {
 	for _, sc := range scs {
 		p := o.params(12)
 		sc.mut(&p)
-		tb, err := p.Build()
+		var tb *host.Testbed
+		res, err := core.Simulate(p, nil, func(t *host.Testbed, p core.Params) core.Results {
+			tb = t
+			return tb.Run(p.Warmup, p.Measure)
+		})
 		if err != nil {
 			return nil, err
 		}
-		res := tb.Run(p.Warmup, p.Measure)
 		mean := func(name string) float64 {
 			return tb.Registry.Histogram(name).Mean()
 		}

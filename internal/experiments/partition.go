@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"fmt"
+
+	"hic/internal/core"
+	"hic/internal/host"
 )
 
 // ExtPartition compares the paper's shared NIC SRAM against per-queue
@@ -31,11 +34,14 @@ func ExtPartition(o Options) (*Table, error) {
 		p := o.params(threads)
 		p.VictimConnGbps = 0.02 // 40 victim connections ≈ 0.8 Gbps total
 		p.PerQueueNICBuffers = sc.partition
-		tb, err := p.Build()
+		var tb *host.Testbed
+		res, err := core.Simulate(p, nil, func(t *host.Testbed, p core.Params) core.Results {
+			tb = t
+			return tb.Run(p.Warmup, p.Measure)
+		})
 		if err != nil {
 			return nil, err
 		}
-		res := tb.Run(p.Warmup, p.Measure)
 
 		// Decompose drops and goodput into aggressors and the victim.
 		dropsByFlow := tb.NIC.DropsByFlow()

@@ -59,7 +59,7 @@ func TestDynamicScalingEndToEnd(t *testing.T) {
 	p.CPUCores = 12
 	p.InitialActiveCores = 2
 	p.DynamicCoreScaling = true
-	tb, err := p.Build()
+	tb, err := p.BuildOn(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRemoteNUMALeavesLocalBusIdle(t *testing.T) {
 	p.Warmup, p.Measure = 2*sim.Millisecond, 4*sim.Millisecond
 	p.AntagonistCores = 12
 	p.AntagonistRemoteNUMA = true
-	tb, err := p.Build()
+	tb, err := p.BuildOn(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"hic/internal/asciiplot"
 	"hic/internal/core"
+	"hic/internal/host"
 	"hic/internal/sim"
 )
 
@@ -137,41 +138,44 @@ func ExtIsolation(o Options) (*Table, error) {
 // drops again).
 func ExtSawtooth(o Options) (*Table, error) {
 	p := o.params(12)
-	tb, err := p.Build()
-	if err != nil {
-		return nil, err
-	}
 	bins := 24
 	if o.Quick {
 		bins = 8
 	}
 	binW := 2 * sim.Millisecond
 
-	tb.Start()
-	tb.Engine.Run(tb.Engine.Now().Add(p.Warmup))
 	t := &Table{
 		ID:      "ext-sawtooth",
 		Title:   "Goodput and NIC buffer over time (12 cores, IOMMU on)",
 		Columns: []string{"t_ms", "gbps", "nic_buffer_kb", "drops_in_bin"},
 	}
 	var series []float64
-	prevGoodput := tb.Receiver.GoodputBytes()
-	prevDrops := tb.NIC.Stats().Drops
-	start := tb.Engine.Now()
-	for i := 0; i < bins; i++ {
-		tb.Engine.Run(tb.Engine.Now().Add(binW))
-		goodput := tb.Receiver.GoodputBytes()
-		drops := tb.NIC.Stats().Drops
-		gbps := float64(goodput-prevGoodput) * 8 / binW.Seconds() / 1e9
-		elapsed := tb.Engine.Now().Sub(start)
-		t.Rows = append(t.Rows, []string{
-			f1(elapsed.Seconds() * 1000), f1(gbps),
-			fmt.Sprint(tb.NIC.BufferUsed() >> 10),
-			fmt.Sprint(drops - prevDrops),
-		})
-		t.xlabels = append(t.xlabels, f1(elapsed.Seconds()*1000))
-		series = append(series, gbps)
-		prevGoodput, prevDrops = goodput, drops
+	// The drive samples fixed-width bins after the warmup instead of one
+	// measure window; the table is the result, so it returns none.
+	if _, err := core.Simulate(p, nil, func(tb *host.Testbed, p core.Params) core.Results {
+		tb.Start()
+		tb.Engine.Run(tb.Engine.Now().Add(p.Warmup))
+		prevGoodput := tb.Receiver.GoodputBytes()
+		prevDrops := tb.NIC.Stats().Drops
+		start := tb.Engine.Now()
+		for i := 0; i < bins; i++ {
+			tb.Engine.Run(tb.Engine.Now().Add(binW))
+			goodput := tb.Receiver.GoodputBytes()
+			drops := tb.NIC.Stats().Drops
+			gbps := float64(goodput-prevGoodput) * 8 / binW.Seconds() / 1e9
+			elapsed := tb.Engine.Now().Sub(start)
+			t.Rows = append(t.Rows, []string{
+				f1(elapsed.Seconds() * 1000), f1(gbps),
+				fmt.Sprint(tb.NIC.BufferUsed() >> 10),
+				fmt.Sprint(drops - prevDrops),
+			})
+			t.xlabels = append(t.xlabels, f1(elapsed.Seconds()*1000))
+			series = append(series, gbps)
+			prevGoodput, prevDrops = goodput, drops
+		}
+		return core.Results{}
+	}); err != nil {
+		return nil, err
 	}
 	t.plots = []asciiplot.Series{{Name: "Gbps", Values: series}}
 	return t, nil

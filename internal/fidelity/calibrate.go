@@ -35,29 +35,21 @@ const (
 // (tier, seed): anchor coordinates are drawn from the caller's seed
 // pool, so these are real fleet/sweep points and any DES-routed point
 // that coincides with one is served from here instead of re-simulated.
-// loaded, ckpts, ckptNew, and ckptCoords belong to the persistent
-// warm-start layer (persist.go/warm.go): loaded latches the one-time
-// warm-store consultation; ckpts are donor checkpoints loaded from
-// disk (the only ones warm starts draw from); ckptNew are checkpoints
-// this process captured (persisted for future runs, never self-served);
-// ckptCoords indexes both to dedupe captures.
+// loaded, ckptRaw, ckpts, ckptNew, and ckptCoords belong to the
+// persistent warm-start layer (persist.go/warm.go): loaded latches the
+// one-time warm-store consultation; ckpts are donor checkpoints decoded
+// at first use from the disk entry it read (ckptRaw) — the only ones
+// warm starts draw from; ckptNew are checkpoints this process captured
+// (persisted for future runs, never self-served); ckptCoords indexes
+// both to dedupe captures.
 type sigCalib struct {
 	mu      sync.Mutex
 	anchors map[int]*anchorPoint
 	noise   map[int]float64
 	des     map[anchorCoord]core.Results
 
-	// xfers memoizes borrowed calibration curves by donor signature
-	// key, knees memoizes located regime boundaries by the same key
-	// ("" = own-grid calibration): both are deterministic functions of
-	// (signature, donor, router config), so keying by donor keeps a
-	// resident signature consistent when a later query's roster assigns
-	// it a different donor. Neither is persisted — the DES runs behind
-	// them are (as ordinary anchors), so rebuilding is cache-hits only.
-	xfers map[string]*xferCurve
-	knees map[string]*kneeState
-
 	loaded     bool
+	ckptRaw    []byte
 	ckpts      []persistedCkpt
 	ckptNew    []persistedCkpt
 	ckptCoords map[anchorCoord]bool
@@ -85,6 +77,11 @@ func signature(p core.Params) string {
 	return p.Canonical()
 }
 
+// SignatureKey exposes the calibration signature (Params with Seed and
+// AntagonistCores cleared, canonically encoded) so sweep drivers can
+// enumerate distinct signatures for prefetch leases.
+func SignatureKey(p core.Params) string { return signature(p) }
+
 func (r *Router) sigFor(p core.Params) *sigCalib {
 	key := signature(p)
 	r.mu.Lock()
@@ -95,8 +92,6 @@ func (r *Router) sigFor(p core.Params) *sigCalib {
 			anchors:    make(map[int]*anchorPoint),
 			noise:      make(map[int]float64),
 			des:        make(map[anchorCoord]core.Results),
-			xfers:      make(map[string]*xferCurve),
-			knees:      make(map[string]*kneeState),
 			ckptCoords: make(map[anchorCoord]bool),
 		}
 		r.sigs[key] = s
@@ -210,14 +205,7 @@ func (r *Router) noiseTier(x int) int {
 // (a serving daemon's second query), and for any shard boundary that
 // changes which point of a signature arrives first.
 func (r *Router) anchorCoincident(p core.Params) bool {
-	inGrid := false
-	for _, a := range r.cfg.AnchorAnts {
-		if a == p.AntagonistCores {
-			inGrid = true
-			break
-		}
-	}
-	if !inGrid {
+	if !r.gridTier(p.AntagonistCores) {
 		return false
 	}
 	if p.Seed == r.cfg.AnchorSeeds[0] {
@@ -295,36 +283,12 @@ func (r *Router) calibrate(p core.Params, pred fluid.Prediction) (adj core.Resul
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r.loadSig(s, p)
-	return r.calibrateLocked(s, p, pred)
-}
 
-// calibrateLocked is calibrate with s.mu already held — the form the
-// knee search uses to evaluate the serving curve at probe tiers. When
-// the roster assigns this signature a transfer donor, the borrowed
-// curve takes precedence; a failed transfer (uncalibratable donor)
-// falls through to the signature's own anchor grid.
-func (r *Router) calibrateLocked(s *sigCalib, p core.Params, pred fluid.Prediction) (adj core.Results, errBound float64, calV string, ok bool, err error) {
 	x := p.AntagonistCores
 	ants := r.cfg.AnchorAnts
-	exact := false
-	for _, a := range ants {
-		if a == x {
-			exact = true
-			break
-		}
-	}
+	exact := r.gridTier(x)
 	if !exact && (x < ants[0] || x > ants[len(ants)-1]) {
 		return core.Results{}, 0, "", false, nil
-	}
-
-	if asn := r.assignFor(p); asn != nil {
-		adj, bound, v, xok, xerr := r.calibrateTransfer(s, p, pred, asn)
-		if xerr != nil {
-			return core.Results{}, 0, "", false, xerr
-		}
-		if xok {
-			return adj, bound, v, true, nil
-		}
 	}
 
 	var gain, dropOff float64
@@ -395,7 +359,7 @@ func (r *Router) calibrateLocked(s *sigCalib, p core.Params, pred fluid.Predicti
 		errBound = math.Max(xvalMargin*resid, noise) + errFloor
 	}
 
-	return applyCalibration(pred, gain, dropOff), errBound, r.ownCalVersion(), true, nil
+	return applyCalibration(pred, gain, dropOff), errBound, r.calVersion(), true, nil
 }
 
 // interp evaluates the piecewise-linear anchor curve at x.
@@ -431,4 +395,78 @@ func applyCalibration(pred fluid.Prediction, gain, dropOff float64) core.Results
 		res.LinkUtilization *= gain
 	}
 	return res
+}
+
+// Prefetch materializes everything p's signature needs to serve points
+// without first-touch calibration stalls — the anchor grid and both
+// noise tiers — without executing any point. Serve coordinators
+// dispense this per distinct signature as prefetch leases so N workers
+// calibrate in parallel before range execution; everything it computes
+// lands in the shared run cache and warm store, so the work is visible
+// fleet-wide. No-op outside ModeAuto and for fluid-unsupported
+// signatures (those route straight to DES).
+func (r *Router) Prefetch(p core.Params) error {
+	if r.cfg.Mode != ModeAuto {
+		return nil
+	}
+	if _, err := core.RunFluid(p); err != nil {
+		if isUnsupported(err) {
+			return nil
+		}
+		return err
+	}
+	ants := r.cfg.AnchorAnts
+	lo, hi := ants[0], ants[len(ants)-1]
+	// Calibrate at one tier per noise regime (at or below the median
+	// grid anchor, and above it) so the full grid and both noise tiers
+	// materialize. Non-grid tiers are preferred: interpolation is what
+	// forces full-grid materialization.
+	mid := ants[len(ants)/2]
+	targets := make([]int, 0, 2)
+	for _, want := range []func(int) bool{
+		func(x int) bool { return x <= mid },
+		func(x int) bool { return x > mid },
+	} {
+		t := -1
+		for x := lo; x <= hi; x++ {
+			if !want(x) {
+				continue
+			}
+			if t < 0 {
+				t = x
+			}
+			if !r.gridTier(x) {
+				t = x
+				break
+			}
+		}
+		if t >= 0 {
+			targets = append(targets, t)
+		}
+	}
+	for _, t := range targets {
+		pt := p
+		pt.AntagonistCores = t
+		pred, err := core.RunFluid(pt)
+		if err != nil {
+			if isUnsupported(err) {
+				continue
+			}
+			return err
+		}
+		if _, _, _, _, cerr := r.calibrate(pt, pred); cerr != nil {
+			return cerr
+		}
+	}
+	return nil
+}
+
+// gridTier reports whether t is on the anchor grid.
+func (r *Router) gridTier(t int) bool {
+	for _, a := range r.cfg.AnchorAnts {
+		if a == t {
+			return true
+		}
+	}
+	return false
 }

@@ -152,20 +152,11 @@ type Config struct {
 	// WarmGuard overrides the re-convergence window a warm start
 	// replays (0 = core.DefaultWarmGuard: warmup/4, floored at 1 ms).
 	WarmGuard sim.Duration
-	// KneeSearch enables per-signature knee localization in ModeAuto:
-	// instead of forcing DES for every point inside a knee band, an
-	// O(log n) bisection along the antagonist-tier axis locates the
-	// actual regime boundary; band points other than the last smooth
-	// and first saturated tiers are served from calibrated fluid
-	// under a widened, probe-measured error bound (see knee.go).
+	// KneeSearch and Transfer do nothing: every knee-band point is
+	// DES-forced and every signature calibrates from its own anchor
+	// grid. The fields stay only so existing callers still compile.
 	KneeSearch bool
-	// Transfer enables cross-signature calibration transfer: a
-	// signature with no calibration of its own borrows anchor gains
-	// and drop offsets from the nearest calibrated hub in
-	// SKU/workload space with an inflated error bound, skipping or
-	// reducing its own anchor DES (see transfer.go). Inert until
-	// SetRoster installs the sweep's signature roster.
-	Transfer bool
+	Transfer   bool
 	// Log, when non-nil, receives one-line routing diagnostics.
 	Log io.Writer
 	// Sink, when non-nil, receives structured routing and audit events;
@@ -193,19 +184,11 @@ type Counters struct {
 	// directly from a coinciding anchor's memoized result.
 	AnchorRuns   uint64
 	AnchorReused uint64
-	// AnchorTransferred counts anchor tiers served by borrowing a
-	// calibrated neighbor's gains instead of running DES;
-	// AnchorRefined counts tiers a borrowing signature re-ran itself
-	// because the measured transfer residual was too high.
+	// AnchorTransferred and KneeProbes always read 0. They keep their
+	// fields and ledger rows so existing readers still compile and
+	// their series still exist.
 	AnchorTransferred uint64
-	AnchorRefined     uint64
-	// KneeProbes counts bisection probe DES runs the knee search
-	// requested at tiers not already materialized as anchors;
-	// KneeBypassed counts fluid routings of knee-band points that the
-	// located knee cleared (they would have been knee-forced to DES
-	// without the search).
-	KneeProbes   uint64
-	KneeBypassed uint64
+	KneeProbes        uint64
 	// Audited counts fluid-vs-DES audit comparisons performed;
 	// AuditMaxErr is the largest observed error and AuditOverTol how
 	// many audited points exceeded Tol.
@@ -246,9 +229,7 @@ var ledger = [...]struct {
 	{"anchor_runs_total", func(c *Counters) *uint64 { return &c.AnchorRuns }},
 	{"anchor_reused_total", func(c *Counters) *uint64 { return &c.AnchorReused }},
 	{"anchor_transferred_total", func(c *Counters) *uint64 { return &c.AnchorTransferred }},
-	{"anchor_refined_total", func(c *Counters) *uint64 { return &c.AnchorRefined }},
 	{"knee_probes_total", func(c *Counters) *uint64 { return &c.KneeProbes }},
-	{"knee_bypassed_total", func(c *Counters) *uint64 { return &c.KneeBypassed }},
 	{"audited_total", func(c *Counters) *uint64 { return &c.Audited }},
 	{"audit_over_tol_total", func(c *Counters) *uint64 { return &c.AuditOverTol }},
 	{"anchor_loaded_total", func(c *Counters) *uint64 { return &c.AnchorLoaded }},
@@ -305,15 +286,8 @@ type Router struct {
 	// on both paths at once.
 	flight *runcache.Flight
 
-	mu     sync.Mutex
-	sigs   map[string]*sigCalib
-	roster *roster
-
-	// kneeProbeFn, when non-nil, substitutes for the DES probe runs the
-	// knee search performs — a test seam for injecting synthetic regime
-	// responses (non-monotone, knee-free) without simulating. Probe
-	// residual measurement is skipped under the hook.
-	kneeProbeFn func(core.Params) (core.Results, error)
+	mu   sync.Mutex
+	sigs map[string]*sigCalib
 
 	// countersMu guards counters, the execution accounting. It is a
 	// leaf lock: nothing else is acquired while it is held.
@@ -590,15 +564,12 @@ func (r *Router) autoPlan(p core.Params) (string, func(*runner.Arena) (core.Resu
 	// noise measurement) is served that run's DES result outright: the
 	// exact answer is (or is about to be) in hand, so fluid-routing it
 	// would trade accuracy for nothing. Coincidence is structural —
-	// anchor grid × anchor seeds, via anchorCoincident, narrowed by
-	// coincidentEligible to the tiers a transferring signature actually
-	// runs itself — not "is the memo populated yet", so the same point
-	// routes the same way whether its signature's calibration already
-	// happened (earlier in this run, or resident from a previous query
-	// in a serving process) or is materialized right here.
-	if elig, cerr := r.coincidentEligible(p); cerr != nil {
-		return "", nil, fmt.Errorf("fidelity: calibrating %s: %w", sigLabel(p), cerr)
-	} else if elig {
+	// anchor grid × anchor seeds, via anchorCoincident — not "is the memo
+	// populated yet", so the same point routes the same way whether its
+	// signature's calibration already happened (earlier in this run, or
+	// resident from a previous query in a serving process) or is
+	// materialized right here.
+	if r.anchorCoincident(p) {
 		des, cerr := r.ensureCoincidentDES(p)
 		if cerr != nil {
 			return "", nil, fmt.Errorf("fidelity: calibrating %s: %w", sigLabel(p), cerr)
@@ -611,11 +582,6 @@ func (r *Router) autoPlan(p core.Params) (string, func(*runner.Arena) (core.Resu
 		}, nil
 	}
 	if why, near := nearKnee(pred); near {
-		if version, run, handled, kerr := r.kneePlan(p, pred, why); kerr != nil {
-			return "", nil, kerr
-		} else if handled {
-			return version, run, nil
-		}
 		r.tally(func(c *Counters) { c.KneeForced++ })
 		return r.desPlanAuto(p, why)
 	}
@@ -684,10 +650,9 @@ func (r *Router) fluidPlan(p core.Params, adj core.Results, calV string) (string
 	}, nil
 }
 
-// ownCalVersion is the cache salt for results calibrated from the
-// signature's own anchor grid (transfer.go salts borrowed curves by
-// donor and refined-tier set instead).
-func (r *Router) ownCalVersion() string {
+// calVersion is the cache salt for results calibrated from a
+// signature's anchor grid.
+func (r *Router) calVersion() string {
 	return fmt.Sprintf("%s+cal(%v@%s)", core.FluidVersion, r.cfg.AnchorAnts, seedsLabel(r.cfg.AnchorSeeds))
 }
 

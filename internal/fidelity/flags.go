@@ -20,9 +20,6 @@ type Flags struct {
 	WarmDir       string
 	WarmURL       string
 	WarmAuditRate float64
-
-	KneeSearch bool
-	Transfer   bool
 }
 
 // DefaultWarmDir is where the persistent warm-start store lives unless
@@ -50,10 +47,6 @@ func RegisterFlags(fs *flag.FlagSet, defaultMode Mode) *Flags {
 		"share a hicserve coordinator's warm store over HTTP instead of -warm-dir (e.g. http://coordinator:8091)")
 	fs.Float64Var(&f.WarmAuditRate, "warm-audit-rate", 0.05,
 		"cold-re-run this fraction of warm-startable points and record the observed warm-start error")
-	fs.BoolVar(&f.KneeSearch, "knee-search", true,
-		"auto mode: bisect each signature's regime boundary and fluid-route knee-band points away from the located knee (widened, audited bound)")
-	fs.BoolVar(&f.Transfer, "calib-transfer", true,
-		"auto mode: let uncalibrated signatures borrow anchor calibration from the nearest calibrated neighbor (inflated, audited bound)")
 	return f
 }
 
@@ -96,7 +89,5 @@ func (f *Flags) Router(cache *runcache.Store, anchorSeeds []uint64, log io.Write
 		Warm:          warm,
 		WarmStore:     warmStore,
 		WarmAuditRate: f.WarmAuditRate,
-		KneeSearch:    f.KneeSearch,
-		Transfer:      f.Transfer,
 	})
 }

@@ -120,16 +120,25 @@ func (r *Router) loadSig(s *sigCalib, p core.Params) {
 		}
 	}
 	if r.warmFullOn() {
-		var pk persistedCkpts
-		v := r.ckptVersion()
-		if r.cfg.WarmStore.GetBlob(runcache.Key(v, sig), v, sig, &pk) {
-			s.ckpts = pk.Ckpts
-			for _, c := range pk.Ckpts {
-				s.ckptCoords[anchorCoord{c.Ant, c.Seed}] = true
-			}
-			r.logf("fidelity: loaded %d persisted checkpoints for %s", len(pk.Ckpts), sigLabel(p))
-		}
+		// Donors are the set on disk now, but a point the result cache
+		// serves never needs one: loadCkpts decodes on first use.
+		s.ckptRaw, _ = r.cfg.WarmStore.LoadBlob(runcache.Key(r.ckptVersion(), sig))
 	}
+}
+
+// loadCkpts decodes the checkpoint entry loadSig read (caller holds
+// s.mu, loadSig done).
+func (r *Router) loadCkpts(s *sigCalib, p core.Params) {
+	var pk persistedCkpts
+	v, sig := r.ckptVersion(), signature(p)
+	if s.ckptRaw != nil && r.cfg.WarmStore.DecodeBlob(runcache.Key(v, sig), v, sig, s.ckptRaw, &pk) {
+		s.ckpts = pk.Ckpts
+		for _, c := range pk.Ckpts {
+			s.ckptCoords[anchorCoord{c.Ant, c.Seed}] = true
+		}
+		r.logf("fidelity: loaded %d persisted checkpoints for %s", len(pk.Ckpts), sigLabel(p))
+	}
+	s.ckptRaw = nil
 }
 
 // saveCalib writes the signature's full calibration state back to the

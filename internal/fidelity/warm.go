@@ -116,7 +116,7 @@ func (r *Router) warmAudit(canonical string) bool {
 }
 
 // nearestDonor picks the persisted checkpoint closest to p on the
-// antagonist-tier axis (caller holds s.mu, loadSig done). Ties prefer
+// antagonist-tier axis (caller holds s.mu, loadCkpts done). Ties prefer
 // the same seed, then the lower tier, then the lower seed — a total
 // order, so every process picks the same donor and the warm salt is
 // stable across runs.
@@ -187,6 +187,7 @@ func (r *Router) recordCkpt(p core.Params, snap host.Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r.loadSig(s, p)
+	r.loadCkpts(s, p)
 	coord := anchorCoord{p.AntagonistCores, p.Seed}
 	if s.ckptCoords[coord] {
 		return
@@ -226,16 +227,19 @@ func (r *Router) warmPlan(p core.Params, why string) (version string, run func(*
 	s := r.sigFor(p)
 	s.mu.Lock()
 	r.loadSig(s, p)
-	donor, found := r.nearestDonor(s, p)
 	s.mu.Unlock()
-	if !found {
-		return "", nil, false, nil
-	}
 	canonical := p.Canonical()
 	desV := r.desVersion()
 	if r.cfg.Cache != nil && r.cfg.Cache.Contains(runcache.Key(desV, canonical), desV, canonical) {
 		// The exact result is already on disk; never shadow it with an
-		// approximation.
+		// approximation, nor decode donors for it.
+		return "", nil, false, nil
+	}
+	s.mu.Lock()
+	r.loadCkpts(s, p)
+	donor, found := r.nearestDonor(s, p)
+	s.mu.Unlock()
+	if !found {
 		return "", nil, false, nil
 	}
 	guard := r.warmGuard(p)

@@ -271,10 +271,21 @@ func TestWarmStartRoundTripAndSalt(t *testing.T) {
 	if err := cache.Put(p2.CacheKey(), core.SimVersion, p2.Canonical(), des2); err != nil {
 		t.Fatal(err)
 	}
-	r4 := mustRouter(t, Config{Mode: ModeDES, Warm: WarmFull,
-		WarmStore: openStore(t, dir), Cache: cache})
+	ws := openStore(t, dir)
+	r4 := mustRouter(t, Config{Mode: ModeDES, Warm: WarmFull, WarmStore: ws, Cache: cache})
 	if v, _, err := r4.Plan(p2); err != nil || v != core.SimVersion {
 		t.Fatalf("warm start shadowed a cached exact result (version %q, err %v)", v, err)
+	}
+	// ...and costs no checkpoint decode: the blob read at first touch
+	// is decoded only for the first point that needs a donor.
+	if h := ws.Hits(); h != 0 {
+		t.Fatalf("cached point decoded %d warm-store blobs, want 0", h)
+	}
+	if v, _, err := r4.Plan(p); err != nil || !strings.Contains(v, "+warm(") {
+		t.Fatalf("uncached point after a cached one planned %q (err %v), want a warm start", v, err)
+	}
+	if h := ws.Hits(); h != 1 {
+		t.Fatalf("warm start decoded %d warm-store blobs, want 1", h)
 	}
 }
 

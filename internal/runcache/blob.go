@@ -32,11 +32,23 @@ type blobEntry struct {
 // missing, corrupt, or version/canonical-mismatched entry is a miss;
 // corrupt entries are deleted and counted, and a hit bumps recency.
 func (s *Store) GetBlob(key, version, canonical string, out any) bool {
+	data, ok := s.LoadBlob(key)
+	return ok && s.DecodeBlob(key, version, canonical, data, out)
+}
+
+// LoadBlob reads the entry under key undecoded (a missing one is a
+// miss); DecodeBlob finishes the lookup whenever the payload is needed.
+func (s *Store) LoadBlob(key string) ([]byte, bool) {
 	data, ok := s.be.Load(key)
 	if !ok {
 		s.misses.Add(1)
-		return false
 	}
+	return data, ok
+}
+
+// DecodeBlob is the second half of GetBlob: it decodes data, as
+// LoadBlob returned it for key, into out.
+func (s *Store) DecodeBlob(key, version, canonical string, data []byte, out any) bool {
 	var e blobEntry
 	if err := json.Unmarshal(data, &e); err != nil {
 		s.dropCorrupt(key)

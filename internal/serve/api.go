@@ -59,16 +59,11 @@ type QueryRequest struct {
 	// NoCache bypasses the shared run cache for this query.
 	NoCache bool `json:"no_cache,omitempty"`
 
-	// Cold-path accelerations (auto mode). All three are on by default,
-	// matching the CLIs, so the knobs are spelled as disables to keep
-	// the zero-value-is-default contract: NoKneeSearch keeps the full
-	// knee bands DES-forced, NoTransfer calibrates every signature from
-	// its own anchor grid, and NoPrefetch skips the coordinator's
-	// signature prefetch leases (workers then calibrate lazily on first
-	// touch inside range execution).
-	NoKneeSearch bool `json:"no_knee_search,omitempty"`
-	NoTransfer   bool `json:"no_transfer,omitempty"`
-	NoPrefetch   bool `json:"no_prefetch,omitempty"`
+	// NoPrefetch skips the coordinator's signature prefetch leases in
+	// auto mode (workers then calibrate lazily on first touch inside
+	// range execution). Prefetch is on by default, so the knob is
+	// spelled as a disable to keep the zero-value-is-default contract.
+	NoPrefetch bool `json:"no_prefetch,omitempty"`
 
 	// RangeHosts overrides the shard granularity (0 = auto: the fleet
 	// split about eight ranges per registered worker, like the runner's
@@ -130,9 +125,8 @@ func (q QueryRequest) ClusterConfig() cluster.Config {
 // exactly when reusing it is sound. The fleet seed is included because
 // anchor seeds derive from it (cluster.SeedPool).
 func (q QueryRequest) FidelitySignature() string {
-	return fmt.Sprintf("m=%s tol=%g audit=%g es=%t warm=%s seed=%d ks=%t xfer=%t",
-		q.Fidelity, q.Tol, q.AuditRate, q.EarlyStop, q.Warm, q.Seed,
-		!q.NoKneeSearch, !q.NoTransfer)
+	return fmt.Sprintf("m=%s tol=%g audit=%g es=%t warm=%s seed=%d",
+		q.Fidelity, q.Tol, q.AuditRate, q.EarlyStop, q.Warm, q.Seed)
 }
 
 // Prefetchable reports whether the coordinator should dispense
@@ -151,11 +145,11 @@ func (q QueryRequest) NeedsRouter() bool {
 
 // LeasePrefetch marks a prefetch lease: instead of executing hosts
 // [Lo, Hi), the worker calibrates the distinct fidelity signatures of
-// the representative hosts in Reps (anchor grid or transfer curve, both
-// noise tiers, located knee) so the shared run cache and warm store are
-// hot before range execution starts. Everything a prefetch computes is
-// content-addressed, so N workers prefetching disjoint rep chunks
-// calibrate the fleet in parallel without duplicating DES.
+// the representative hosts in Reps (anchor grid and both noise tiers)
+// so the shared run cache and warm store are hot before range execution
+// starts. Everything a prefetch computes is content-addressed, so N
+// workers prefetching disjoint rep chunks calibrate the fleet in
+// parallel without duplicating DES.
 const LeasePrefetch = "prefetch"
 
 // Lease is one dispensed unit of work: hosts [Lo, Hi) of the job's
@@ -193,7 +187,7 @@ type RangePartial struct {
 	Util    stats.Moments   `json:"util"`
 	Drop    stats.Moments   `json:"drop"`
 	// Prefetch marks this as a prefetch lease's completion: Stats carry
-	// the calibration work (anchor runs, transfers, knee probes) and
+	// the calibration work (anchor runs, noise runs) and
 	// Points stay empty. RangeID indexes the job's prefetch leases, a
 	// separate id space from its ranges.
 	Prefetch bool `json:"prefetch,omitempty"`
@@ -356,7 +350,7 @@ type WorkerInfo struct {
 	// accepted completions. Keys are the hic_worker_* series suffixes
 	// ("simulated_total", "cache_hits_total", ...), so the registry
 	// and /metrics agree by construction — fidelity anchor accounting
-	// (anchor_runs_total, anchor_transferred_total, ...) included.
+	// (anchor_runs_total, anchor_loaded_total, ...) included.
 	Counters map[string]float64 `json:"counters,omitempty"`
 }
 

@@ -336,6 +336,27 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// TestRemovedQueryKnobsAreIgnored: a query from an older client that
+// still disables knee search and calibration transfer decodes, validates
+// and keys the same resident router as one without those fields. "Off"
+// was what they asked for, and it is now the only behaviour.
+func TestRemovedQueryKnobsAreIgnored(t *testing.T) {
+	const base = `"hosts":8,"seed":3,"fidelity":"auto","tol":0.1,"early_stop":true`
+	var old, cur QueryRequest
+	if err := json.NewDecoder(strings.NewReader(`{` + base + `,"no_knee_search":true,"no_transfer":true}`)).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(strings.NewReader(`{` + base + `}`)).Decode(&cur); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Validate(); err != nil {
+		t.Fatalf("old-client query rejected: %v", err)
+	}
+	if got, want := old.FidelitySignature(), cur.FidelitySignature(); got != want {
+		t.Errorf("old-client signature %q, want %q", got, want)
+	}
+}
+
 // TestCacheMountsServeSharedStores: the coordinator's cache mounts are
 // live runcache HTTP backends — a worker-side store dedups through
 // them, and warm blobs round-trip.

@@ -491,8 +491,7 @@ func (s *Server) recordLeaseSpans(j *job, rg *shardRange, p *RangePartial, now t
 	}
 	p.Stats.Each(func(series string, v uint64) {
 		switch series {
-		case "simulated_total", "collapsed_total", "fluid_routed_total",
-			"anchor_runs_total", "anchor_transferred_total", "knee_probes_total":
+		case "simulated_total", "collapsed_total", "fluid_routed_total", "anchor_runs_total":
 			if v != 0 {
 				args[series] = float64(v)
 			}

@@ -362,9 +362,8 @@ func (w *Worker) execute(lease Lease) RangePartial {
 }
 
 // executePrefetch calibrates one chunk of the fleet's distinct fidelity
-// signatures ahead of range execution: anchor grid or borrowed transfer
-// curve, both noise tiers, and the located knee, all landing in the
-// shared run cache and warm store. The partial carries only the
+// signatures ahead of range execution: the anchor grid and both noise
+// tiers, all landing in the shared run cache and warm store. The partial carries only the
 // calibration accounting — no points. Errors are reported but the
 // coordinator treats them as non-fatal (ranges calibrate lazily).
 func (w *Worker) executePrefetch(lease Lease) RangePartial {
@@ -384,7 +383,6 @@ func (w *Worker) executePrefetch(lease Lease) RangePartial {
 		p.Err = err.Error()
 		return p
 	}
-	cluster.InstallRoster(cfg, router)
 	before := router.Counters()
 	for _, rep := range lease.Reps {
 		params, _ := cluster.HostScenario(cfg, rep)
@@ -394,9 +392,8 @@ func (w *Worker) executePrefetch(lease Lease) RangePartial {
 		}
 	}
 	p.Stats = cluster.RouterDelta(before, router.Counters())
-	w.logf("prefetch %s/%d: %d signatures, %d anchor runs (%d transferred, %d refined), %d knee probes",
-		lease.Job, lease.RangeID, len(lease.Reps), p.Stats.AnchorRuns,
-		p.Stats.AnchorTransferred, p.Stats.AnchorRefined, p.Stats.KneeProbes)
+	w.logf("prefetch %s/%d: %d signatures, %d anchor runs",
+		lease.Job, lease.RangeID, len(lease.Reps), p.Stats.AnchorRuns)
 	return p
 }
 
@@ -419,8 +416,6 @@ func (w *Worker) routerFor(spec QueryRequest, cfg cluster.Config) (*fidelity.Rou
 		EarlyStop:   spec.EarlyStop,
 		AnchorSeeds: cluster.SeedPool(cfg),
 		Log:         w.opts.Log,
-		KneeSearch:  !spec.NoKneeSearch,
-		Transfer:    !spec.NoTransfer,
 	}
 	if spec.Fidelity != "" {
 		mode, err := fidelity.ParseMode(spec.Fidelity)
