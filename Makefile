@@ -36,7 +36,11 @@ check: check-tests bench-compare bench-warm bench-serve bench-cold
 # the root `./...` never compiles it; vetting it catches a change to an
 # API the benchmark calls, and its smoke test (about 20 s, offline)
 # catches a change to what that API returns, such as cluster.Stats.
+# The first step fails when any of the repository's Go files is not
+# gofmt-clean: gofmt -l prints each such file, and any output fails.
 check-tests:
+	@out=$$(gofmt -l bench cmd internal examples *.go) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l: files not gofmt-clean:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...

@@ -41,8 +41,12 @@ const (
 // at first use from the disk entry it read (ckptRaw) — the only ones
 // warm starts draw from; ckptNew are checkpoints this process captured
 // (persisted for future runs, never self-served); ckptCoords indexes
-// both to dedupe captures.
+// both to dedupe captures. sig is the signature key itself, encoded
+// once when the signature is first seen: every warm-store key of the
+// signature derives from it.
 type sigCalib struct {
+	sig string
+
 	mu      sync.Mutex
 	anchors map[int]*anchorPoint
 	noise   map[int]float64
@@ -89,6 +93,7 @@ func (r *Router) sigFor(p core.Params) *sigCalib {
 	s := r.sigs[key]
 	if s == nil {
 		s = &sigCalib{
+			sig:        key,
 			anchors:    make(map[int]*anchorPoint),
 			noise:      make(map[int]float64),
 			des:        make(map[anchorCoord]core.Results),
@@ -105,7 +110,7 @@ func (r *Router) sigFor(p core.Params) *sigCalib {
 // cached under the same salt as, and are interchangeable with, any
 // DES-routed point at the same coordinates.
 func (r *Router) runAnchor(ap core.Params) (core.Results, error) {
-	version := r.desVersion()
+	version := r.desV
 	compute := func() (core.Results, error) {
 		r.tally(func(c *Counters) { c.AnchorRuns++ })
 		return core.Simulate(ap, nil, r.drive(false))
@@ -217,10 +222,9 @@ func (r *Router) anchorCoincident(p core.Params) bool {
 }
 
 // ensureCoincidentDES materializes (or reuses) the calibration DES run
-// coinciding with p and returns its result. Only valid after
-// anchorCoincident(p).
-func (r *Router) ensureCoincidentDES(p core.Params) (core.Results, error) {
-	s := r.sigFor(p)
+// coinciding with p, whose signature state is s, and returns its
+// result. Only valid after anchorCoincident(p).
+func (r *Router) ensureCoincidentDES(s *sigCalib, p core.Params) (core.Results, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r.loadSig(s, p)
@@ -252,7 +256,8 @@ func (r *Router) ensureCoincidentDES(p core.Params) (core.Results, error) {
 // points, whose fresh execution resolves through the same cache/flight
 // key the anchor was stored under and therefore returns the identical
 // result either way. Routing decisions use anchorCoincident instead.
-func (r *Router) memoizedAnchor(p core.Params) (core.Results, bool) {
+// s is p's signature state.
+func (r *Router) memoizedAnchor(s *sigCalib, p core.Params) (core.Results, bool) {
 	seedMatch := false
 	for _, s := range r.cfg.AnchorSeeds {
 		if p.Seed == s {
@@ -263,7 +268,6 @@ func (r *Router) memoizedAnchor(p core.Params) (core.Results, bool) {
 	if !seedMatch {
 		return core.Results{}, false
 	}
-	s := r.sigFor(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r.loadSig(s, p)
@@ -274,12 +278,11 @@ func (r *Router) memoizedAnchor(p core.Params) (core.Results, bool) {
 }
 
 // calibrate computes the calibrated prediction for p, its error bound,
-// and the cache salt identifying the calibration that produced it.
-// ok=false means the point cannot be calibrated (tier outside the
-// anchor hull, untrustworthy gains, too few anchors to validate) and
-// must run under DES.
-func (r *Router) calibrate(p core.Params, pred fluid.Prediction) (adj core.Results, errBound float64, calV string, ok bool, err error) {
-	s := r.sigFor(p)
+// and the cache salt identifying the calibration that produced it, from
+// p's signature state s. ok=false means the point cannot be calibrated
+// (tier outside the anchor hull, untrustworthy gains, too few anchors
+// to validate) and must run under DES.
+func (r *Router) calibrate(s *sigCalib, p core.Params, pred fluid.Prediction) (adj core.Results, errBound float64, calV string, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r.loadSig(s, p)
@@ -359,7 +362,7 @@ func (r *Router) calibrate(p core.Params, pred fluid.Prediction) (adj core.Resul
 		errBound = math.Max(xvalMargin*resid, noise) + errFloor
 	}
 
-	return applyCalibration(pred, gain, dropOff), errBound, r.calVersion(), true, nil
+	return applyCalibration(pred, gain, dropOff), errBound, r.calV, true, nil
 }
 
 // interp evaluates the piecewise-linear anchor curve at x.
@@ -444,6 +447,7 @@ func (r *Router) Prefetch(p core.Params) error {
 			targets = append(targets, t)
 		}
 	}
+	s := r.sigFor(p)
 	for _, t := range targets {
 		pt := p
 		pt.AntagonistCores = t
@@ -454,7 +458,7 @@ func (r *Router) Prefetch(p core.Params) error {
 			}
 			return err
 		}
-		if _, _, _, _, cerr := r.calibrate(pt, pred); cerr != nil {
+		if _, _, _, _, cerr := r.calibrate(s, pt, pred); cerr != nil {
 			return cerr
 		}
 	}

@@ -286,6 +286,15 @@ type Router struct {
 	// on both paths at once.
 	flight *runcache.Flight
 
+	// The router's version salts depend only on its configuration, so
+	// New renders each once. desV salts DES-routed results: pure DES,
+	// or the early-stopped variant when EarlyStop is on. calV salts
+	// results calibrated from a signature's anchor grid. calibV salts
+	// persisted calibration state by everything that could change its
+	// content; ckptV salts checkpoint blobs, whose content depends only
+	// on how the donor DES ran.
+	desV, calV, calibV, ckptV string
+
 	mu   sync.Mutex
 	sigs map[string]*sigCalib
 
@@ -350,6 +359,14 @@ func New(cfg Config) (*Router, error) {
 		}
 		r.estop = &core.EarlyStop{Rule: rule}
 	}
+	r.desV = core.SimVersion
+	if r.estop != nil {
+		r.desV = r.estop.Version()
+	}
+	anchors := fmt.Sprintf("%v@%s", cfg.AnchorAnts, seedsLabel(cfg.AnchorSeeds))
+	r.calV = core.FluidVersion + "+cal(" + anchors + ")"
+	r.calibV = "hic-calib-1|" + r.desV + "|" + core.FluidVersion + "|anchors=" + anchors
+	r.ckptV = "hic-ckpt-1|" + r.desV
 	return r, nil
 }
 
@@ -440,7 +457,7 @@ func (r *Router) Plan(p core.Params) (string, func(*runner.Arena) (core.Results,
 		pred, err := core.RunFluid(p)
 		if err != nil {
 			if isUnsupported(err) {
-				return r.desPlan(p, "unsupported")
+				return r.desPlan(p, nil, p.Canonical(), "unsupported")
 			}
 			return "", nil, err
 		}
@@ -452,7 +469,7 @@ func (r *Router) Plan(p core.Params) (string, func(*runner.Arena) (core.Results,
 	case ModeAuto:
 		return r.autoPlan(p)
 	default:
-		return r.desPlan(p, "")
+		return r.desPlan(p, nil, p.Canonical(), "")
 	}
 }
 
@@ -461,14 +478,15 @@ func (r *Router) Plan(p core.Params) (string, func(*runner.Arena) (core.Results,
 // calibration anchor at the same coordinates racing on another worker.
 // Under WarmFull, a persisted donor checkpoint diverts the point to a
 // warm start first; a point that runs cold donates its own converged
-// snapshot for future processes.
-func (r *Router) desPlan(p core.Params, why string) (string, func(*runner.Arena) (core.Results, error), error) {
-	if version, run, ok, err := r.warmPlan(p, why); ok || err != nil {
+// snapshot for future processes. canonical is p's encoding; s is p's
+// signature state, or nil when the caller has not resolved it.
+func (r *Router) desPlan(p core.Params, s *sigCalib, canonical, why string) (string, func(*runner.Arena) (core.Results, error), error) {
+	if version, run, ok, err := r.warmPlan(p, s, canonical, why); ok || err != nil {
 		return version, run, err
 	}
 	r.logf("fidelity: DES %s ant=%d%s", sigLabel(p), p.AntagonistCores, reason(why))
 	r.emitRoute(p, "des", why)
-	version := r.desVersion()
+	version := r.desV
 	drive := r.drive(r.warmFullOn())
 	run := func(a *runner.Arena) (core.Results, error) { return core.Simulate(p, a, drive) }
 	if r.cfg.Cache != nil {
@@ -479,7 +497,7 @@ func (r *Router) desPlan(p core.Params, why string) (string, func(*runner.Arena)
 			return run(a)
 		}, nil
 	}
-	key := runcache.Key(version, p.Canonical())
+	key := runcache.Key(version, canonical)
 	return version, func(a *runner.Arena) (core.Results, error) {
 		return r.flight.Do(key, func() (core.Results, error) {
 			r.tally(func(c *Counters) { c.DESRouted++ })
@@ -493,16 +511,16 @@ func (r *Router) desPlan(p core.Params, why string) (string, func(*runner.Arena)
 // (same Params, same seed, same execution plan — it IS that run)
 // instead of re-simulating. The version salt matches how the anchor was
 // executed: pure DES, or the early-stopped variant when EarlyStop is on.
-func (r *Router) desPlanAuto(p core.Params, why string) (string, func(*runner.Arena) (core.Results, error), error) {
-	if des, hit := r.memoizedAnchor(p); hit {
+func (r *Router) desPlanAuto(p core.Params, s *sigCalib, canonical, why string) (string, func(*runner.Arena) (core.Results, error), error) {
+	if des, hit := r.memoizedAnchor(s, p); hit {
 		r.logf("fidelity: anchor-reuse %s ant=%d%s", sigLabel(p), p.AntagonistCores, reason(why))
 		r.emitRoute(p, "anchor-reuse", why)
-		return r.desVersion(), func(*runner.Arena) (core.Results, error) {
+		return r.desV, func(*runner.Arena) (core.Results, error) {
 			r.tally(func(c *Counters) { c.AnchorReused++ })
 			return des, nil
 		}, nil
 	}
-	return r.desPlan(p, why)
+	return r.desPlan(p, s, canonical, why)
 }
 
 // Knee bands: inside these the discrete dynamics DES captures dominate
@@ -556,10 +574,13 @@ func (r *Router) autoPlan(p core.Params) (string, func(*runner.Arena) (core.Resu
 	pred, err := core.RunFluid(p)
 	if err != nil {
 		if isUnsupported(err) {
-			return r.desPlan(p, "unsupported")
+			return r.desPlan(p, nil, p.Canonical(), "unsupported")
 		}
 		return "", nil, err
 	}
+	// The signature and the canonical encoding are computed once here
+	// and threaded through every step that keys on them.
+	s := r.sigFor(p)
 	// A point that coincides exactly with a calibration run (anchor or
 	// noise measurement) is served that run's DES result outright: the
 	// exact answer is (or is about to be) in hand, so fluid-routing it
@@ -570,40 +591,41 @@ func (r *Router) autoPlan(p core.Params) (string, func(*runner.Arena) (core.Resu
 	// resident from a previous query in a serving process) or is
 	// materialized right here.
 	if r.anchorCoincident(p) {
-		des, cerr := r.ensureCoincidentDES(p)
+		des, cerr := r.ensureCoincidentDES(s, p)
 		if cerr != nil {
 			return "", nil, fmt.Errorf("fidelity: calibrating %s: %w", sigLabel(p), cerr)
 		}
 		r.logf("fidelity: anchor-reuse %s ant=%d", sigLabel(p), p.AntagonistCores)
 		r.emitRoute(p, "anchor-reuse", "")
-		return r.desVersion(), func(*runner.Arena) (core.Results, error) {
+		return r.desV, func(*runner.Arena) (core.Results, error) {
 			r.tally(func(c *Counters) { c.AnchorReused++ })
 			return des, nil
 		}, nil
 	}
+	canonical := p.Canonical()
 	if why, near := nearKnee(pred); near {
 		r.tally(func(c *Counters) { c.KneeForced++ })
-		return r.desPlanAuto(p, why)
+		return r.desPlanAuto(p, s, canonical, why)
 	}
-	adj, errBound, calV, ok, err := r.calibrate(p, pred)
+	adj, errBound, calV, ok, err := r.calibrate(s, p, pred)
 	if err != nil {
 		return "", nil, fmt.Errorf("fidelity: calibrating %s: %w", sigLabel(p), err)
 	}
 	if !ok {
-		return r.desPlanAuto(p, "uncalibratable")
+		return r.desPlanAuto(p, s, canonical, "uncalibratable")
 	}
 	if errBound > routeMargin*r.tol {
-		return r.desPlanAuto(p, fmt.Sprintf("errBound %.3f > %.2f*tol %.3f", errBound, routeMargin, r.tol))
+		return r.desPlanAuto(p, s, canonical, fmt.Sprintf("errBound %.3f > %.2f*tol %.3f", errBound, routeMargin, r.tol))
 	}
-	return r.fluidPlan(p, adj, calV)
+	return r.fluidPlan(p, canonical, adj, calV)
 }
 
 // fluidPlan serves a point that passed every routing gate from the
 // calibrated fluid prediction adj, cache-salted with the calibration
-// version calV — except for the deterministic audit sample, which runs
-// (and caches) authoritative DES and only compares the prediction.
-func (r *Router) fluidPlan(p core.Params, adj core.Results, calV string) (string, func(*runner.Arena) (core.Results, error), error) {
-	canonical := p.Canonical()
+// version calV — except for the deterministic audit sample (drawn from
+// p's canonical encoding), which runs (and caches) authoritative DES
+// and only compares the prediction.
+func (r *Router) fluidPlan(p core.Params, canonical string, adj core.Results, calV string) (string, func(*runner.Arena) (core.Results, error), error) {
 	if r.audit(canonical) {
 		// Audited points run (and cache) authoritative full-window DES
 		// under the pure-DES key; the fluid prediction is only compared.
@@ -648,12 +670,6 @@ func (r *Router) fluidPlan(p core.Params, adj core.Results, calV string) (string
 		r.tally(func(c *Counters) { c.FluidRouted++ })
 		return adj, nil
 	}, nil
-}
-
-// calVersion is the cache salt for results calibrated from a
-// signature's anchor grid.
-func (r *Router) calVersion() string {
-	return fmt.Sprintf("%s+cal(%v@%s)", core.FluidVersion, r.cfg.AnchorAnts, seedsLabel(r.cfg.AnchorSeeds))
 }
 
 // observedError is the audit metric: the larger of the relative

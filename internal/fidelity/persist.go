@@ -1,7 +1,6 @@
 package fidelity
 
 import (
-	"fmt"
 	"sort"
 
 	"hic/internal/core"
@@ -25,23 +24,8 @@ import (
 // never be found. The "hic-calib-" version family is disjoint from
 // every result salt (all of which start with core.SimVersion), so a
 // persisted calibration can never satisfy a result lookup or vice
-// versa.
-
-// desVersion is the salt this router's DES-routed results are cached
-// under: pure DES, or the early-stopped variant when EarlyStop is on.
-func (r *Router) desVersion() string {
-	if r.estop != nil {
-		return r.estop.Version()
-	}
-	return core.SimVersion
-}
-
-// calibVersion salts persisted calibration state by everything that
-// could change its content.
-func (r *Router) calibVersion() string {
-	return fmt.Sprintf("hic-calib-1|%s|%s|anchors=%v@%s",
-		r.desVersion(), core.FluidVersion, r.cfg.AnchorAnts, seedsLabel(r.cfg.AnchorSeeds))
-}
+// versa. The router renders its salts once, in New (Router.desV,
+// calibV, ckptV).
 
 // persistedCalib is the on-disk form of a sigCalib.
 type persistedCalib struct {
@@ -87,11 +71,10 @@ func (r *Router) loadSig(s *sigCalib, p core.Params) {
 		return
 	}
 	s.loaded = true
-	sig := signature(p)
 	if r.calibPersistOn() {
 		var pc persistedCalib
-		v := r.calibVersion()
-		if r.cfg.WarmStore.GetBlob(runcache.Key(v, sig), v, sig, &pc) {
+		v := r.calibV
+		if r.cfg.WarmStore.GetBlob(runcache.Key(v, s.sig), v, s.sig, &pc) {
 			n := 0
 			for _, a := range pc.Anchors {
 				if _, dup := s.anchors[a.Ant]; dup {
@@ -122,7 +105,7 @@ func (r *Router) loadSig(s *sigCalib, p core.Params) {
 	if r.warmFullOn() {
 		// Donors are the set on disk now, but a point the result cache
 		// serves never needs one: loadCkpts decodes on first use.
-		s.ckptRaw, _ = r.cfg.WarmStore.LoadBlob(runcache.Key(r.ckptVersion(), sig))
+		s.ckptRaw, _ = r.cfg.WarmStore.LoadBlob(runcache.Key(r.ckptV, s.sig))
 	}
 }
 
@@ -130,8 +113,8 @@ func (r *Router) loadSig(s *sigCalib, p core.Params) {
 // s.mu, loadSig done).
 func (r *Router) loadCkpts(s *sigCalib, p core.Params) {
 	var pk persistedCkpts
-	v, sig := r.ckptVersion(), signature(p)
-	if s.ckptRaw != nil && r.cfg.WarmStore.DecodeBlob(runcache.Key(v, sig), v, sig, s.ckptRaw, &pk) {
+	v := r.ckptV
+	if s.ckptRaw != nil && r.cfg.WarmStore.DecodeBlob(runcache.Key(v, s.sig), v, s.sig, s.ckptRaw, &pk) {
 		s.ckpts = pk.Ckpts
 		for _, c := range pk.Ckpts {
 			s.ckptCoords[anchorCoord{c.Ant, c.Seed}] = true
@@ -172,9 +155,8 @@ func (r *Router) saveCalib(s *sigCalib, p core.Params, newItems int) {
 		}
 		return pc.Runs[i].Seed < pc.Runs[j].Seed
 	})
-	sig := signature(p)
-	v := r.calibVersion()
-	if err := r.cfg.WarmStore.PutBlob(runcache.Key(v, sig), v, sig, pc); err != nil {
+	v := r.calibV
+	if err := r.cfg.WarmStore.PutBlob(runcache.Key(v, s.sig), v, s.sig, pc); err != nil {
 		r.logf("fidelity: persisting calibration: %v", err)
 		return
 	}

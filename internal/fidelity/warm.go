@@ -81,12 +81,6 @@ func (r *Router) warmFullOn() bool {
 	return r.cfg.Warm == WarmFull && r.cfg.WarmStore != nil
 }
 
-// ckptVersion salts checkpoint blobs: snapshot content depends only on
-// how the donor DES ran.
-func (r *Router) ckptVersion() string {
-	return "hic-ckpt-1|" + r.desVersion()
-}
-
 // warmGuard is the re-convergence window a warm start replays in place
 // of the full warmup.
 func (r *Router) warmGuard(p core.Params) sim.Duration {
@@ -199,9 +193,8 @@ func (r *Router) recordCkpt(p core.Params, snap host.Snapshot) {
 	all.Ckpts = append(all.Ckpts, s.ckpts...)
 	all.Ckpts = append(all.Ckpts, s.ckptNew...)
 	sortCkpts(all.Ckpts)
-	sig := signature(p)
-	v := r.ckptVersion()
-	if err := r.cfg.WarmStore.PutBlob(runcache.Key(v, sig), v, sig, all); err != nil {
+	v := r.ckptV
+	if err := r.cfg.WarmStore.PutBlob(runcache.Key(v, s.sig), v, s.sig, all); err != nil {
 		r.logf("fidelity: persisting checkpoint: %v", err)
 		return
 	}
@@ -217,19 +210,21 @@ func sortCkpts(cs []persistedCkpt) {
 	}
 }
 
-// warmPlan attempts to warm-start a DES-routed point. ok=false means no
-// usable donor (or warm start inactive): the caller runs cold and
-// donates a checkpoint.
-func (r *Router) warmPlan(p core.Params, why string) (version string, run func(*runner.Arena) (core.Results, error), ok bool, err error) {
+// warmPlan attempts to warm-start a DES-routed point, given its
+// canonical encoding and its signature state s (nil when the caller has
+// not resolved it). ok=false means no usable donor (or warm start
+// inactive): the caller runs cold and donates a checkpoint.
+func (r *Router) warmPlan(p core.Params, s *sigCalib, canonical, why string) (version string, run func(*runner.Arena) (core.Results, error), ok bool, err error) {
 	if !r.warmFullOn() || !warmEligible(p) {
 		return "", nil, false, nil
 	}
-	s := r.sigFor(p)
+	if s == nil {
+		s = r.sigFor(p)
+	}
 	s.mu.Lock()
 	r.loadSig(s, p)
 	s.mu.Unlock()
-	canonical := p.Canonical()
-	desV := r.desVersion()
+	desV := r.desV
 	if r.cfg.Cache != nil && r.cfg.Cache.Contains(runcache.Key(desV, canonical), desV, canonical) {
 		// The exact result is already on disk; never shadow it with an
 		// approximation, nor decode donors for it.

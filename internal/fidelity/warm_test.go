@@ -139,7 +139,7 @@ func TestCalibSaltInvalidation(t *testing.T) {
 
 	// Hand-plant a calibration blob under r1's salt (no DES needed).
 	pc := persistedCalib{Anchors: []persistedAnchor{{Ant: 0, Gain: 1, OK: true}}}
-	v1 := r1.calibVersion()
+	v1 := r1.calibV
 	if err := store.PutBlob(runcache.Key(v1, sig), v1, sig, pc); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCalibSaltInvalidation(t *testing.T) {
 	// A different anchor grid changes the salt: nothing loads.
 	r2 := mustRouter(t, Config{Mode: ModeAuto, Warm: WarmCalib,
 		WarmStore: openStore(t, dir), AnchorAnts: []int{0, 8, 15}})
-	if r2.calibVersion() == v1 {
+	if r2.calibV == v1 {
 		t.Fatal("different AnchorAnts produced the same calibration salt")
 	}
 	if n := touch(r2); n != 0 {
@@ -168,7 +168,7 @@ func TestCalibSaltInvalidation(t *testing.T) {
 	// So does a different DES variant (early stopping re-salts anchors).
 	r3 := mustRouter(t, Config{Mode: ModeAuto, Warm: WarmCalib,
 		WarmStore: openStore(t, dir), EarlyStop: true})
-	if r3.calibVersion() == v1 {
+	if r3.calibV == v1 {
 		t.Fatal("early-stopped router produced the pure-DES calibration salt")
 	}
 	if n := touch(r3); n != 0 {
@@ -323,7 +323,7 @@ func TestWarmEligibilityExcludesBursty(t *testing.T) {
 	s.loaded = true
 	s.ckpts = append(s.ckpts, persistedCkpt{Ant: p.AntagonistCores, Seed: p.Seed})
 	s.mu.Unlock()
-	if _, _, ok, perr := r.warmPlan(p, ""); perr != nil || ok {
+	if _, _, ok, perr := r.warmPlan(p, s, p.Canonical(), ""); perr != nil || ok {
 		t.Fatalf("warmPlan on a bursty point: ok=%v err=%v", ok, perr)
 	}
 }

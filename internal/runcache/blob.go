@@ -2,8 +2,11 @@ package runcache
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 )
 
 // Blob namespace: a second content-addressed entry kind for warm state
@@ -21,11 +24,13 @@ import (
 // already keep their own per-signature in-memory state and touch the
 // store once per signature per process.
 
-// blobEntry is the stored format of the second namespace.
+// blobEntry is the stored format of the second namespace. Blob holds
+// the payload: the value to encode on a write, and on a read a pointer
+// the decoder fills in the same pass that parses the envelope.
 type blobEntry struct {
-	Version   string          `json:"version"`
-	Canonical string          `json:"canonical"`
-	Blob      json.RawMessage `json:"blob"`
+	Version   string `json:"version"`
+	Canonical string `json:"canonical"`
+	Blob      any    `json:"blob"`
 }
 
 // GetBlob decodes the blob stored under key into out. Like Get, any
@@ -47,33 +52,47 @@ func (s *Store) LoadBlob(key string) ([]byte, bool) {
 }
 
 // DecodeBlob is the second half of GetBlob: it decodes data, as
-// LoadBlob returned it for key, into out.
+// LoadBlob returned it for key, into out, which must be a non-nil
+// pointer. The envelope and the payload are decoded in one pass over
+// data, and out is written only on a hit. An envelope that does not
+// parse, or a payload that does not fit out, is dropped as corrupt; a
+// version or canonical mismatch, or a missing or null blob, is a miss.
 func (s *Store) DecodeBlob(key, version, canonical string, data []byte, out any) bool {
-	var e blobEntry
-	if err := json.Unmarshal(data, &e); err != nil {
+	// The decoder fills a fresh *T behind slot rather than out itself,
+	// so a payload that is missing or null leaves slot nil and reads
+	// as a miss instead of an untouched out reading as a hit.
+	dst := reflect.ValueOf(out)
+	slot := reflect.New(dst.Type())
+	e := blobEntry{Blob: slot.Interface()}
+	err := json.Unmarshal(data, &e)
+	var typeErr *json.UnmarshalTypeError
+	if err != nil && !(errors.As(err, &typeErr) && isPayloadField(typeErr.Field)) {
 		s.dropCorrupt(key)
 		return false
 	}
-	if e.Version != version || e.Canonical != canonical || e.Blob == nil {
+	if e.Version != version || e.Canonical != canonical || slot.Elem().IsNil() {
 		s.misses.Add(1)
 		return false
 	}
-	if err := json.Unmarshal(e.Blob, out); err != nil {
+	if err != nil {
 		s.dropCorrupt(key)
 		return false
 	}
+	dst.Elem().Set(slot.Elem().Elem())
 	s.be.Touch(key)
 	s.hits.Add(1)
 	return true
 }
 
+// isPayloadField reports whether a decode type error's field path lies
+// inside the blob payload rather than in the envelope's own fields.
+func isPayloadField(field string) bool {
+	return field == "blob" || strings.HasPrefix(field, "blob.")
+}
+
 // PutBlob stores v (JSON-encoded) under key, atomically like Put.
 func (s *Store) PutBlob(key, version, canonical string, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("runcache: encoding blob: %w", err)
-	}
-	data, err := json.MarshalIndent(blobEntry{Version: version, Canonical: canonical, Blob: raw}, "", " ")
+	data, err := json.Marshal(blobEntry{Version: version, Canonical: canonical, Blob: v})
 	if err != nil {
 		return fmt.Errorf("runcache: encoding blob entry: %w", err)
 	}

@@ -7,11 +7,13 @@
 // served from disk, byte-identical to a cold run because the simulator
 // itself is bit-deterministic per seed.
 //
-// Entries are JSON files named <sha256>.json under the store directory
-// (default results/cache/). Invalidation is by key construction: the
-// canonical encoding includes every parameter field, and the version
-// salt (core.SimVersion) is bumped whenever simulator behavior changes,
-// so stale entries are simply never addressed again.
+// Entries are compact JSON files named <sha256>.json under the store
+// directory (default results/cache/); readers accept any JSON layout,
+// so indented entries written by earlier versions still hit.
+// Invalidation is by key construction: the canonical encoding includes
+// every parameter field, and the version salt (core.SimVersion) is
+// bumped whenever simulator behavior changes, so stale entries are
+// simply never addressed again.
 //
 // The byte layer underneath a Store is pluggable (see Backend): the
 // default is a local directory, and NewHTTP reaches the same namespace
@@ -65,13 +67,22 @@ type entry struct {
 	Results   host.Results `json:"results"`
 }
 
+// memEntry is one result held in the memory layer. untouched marks an
+// entry Contains read from the backend: its recency bump is still owed,
+// and the first Get that serves it pays it, exactly as if that Get had
+// read the backend itself.
+type memEntry struct {
+	r         host.Results
+	untouched bool
+}
+
 // Store is a Backend-backed result cache. It is safe for concurrent
 // use by the parallel sweep runners.
 type Store struct {
 	be Backend
 
 	mu  sync.Mutex
-	mem map[string]host.Results // write-through in-memory layer
+	mem map[string]memEntry // write-through in-memory layer
 
 	hits    atomic.Uint64
 	misses  atomic.Uint64
@@ -95,7 +106,7 @@ func Open(dir string) (*Store, error) {
 // NewStore wraps a Backend in the full Store machinery (memory layer,
 // singleflight, accounting).
 func NewStore(be Backend) *Store {
-	return &Store{be: be, mem: make(map[string]host.Results), flight: NewFlight(false)}
+	return &Store{be: be, mem: make(map[string]memEntry), flight: NewFlight(false)}
 }
 
 // OpenRemote opens the results namespace a hicserve coordinator serves
@@ -120,13 +131,20 @@ func (s *Store) Dir() string { return s.be.Name() }
 // entry's recency (Backend.Touch) so size-budget pruning evicts cold
 // entries instead of hot ones; hits served by the in-memory layer don't
 // re-touch, which is harmless because the first hit of the process
-// already did.
+// already did (the first hit on an entry Contains left there is that
+// first hit, so it touches).
 func (s *Store) Get(key, version, canonical string) (host.Results, bool) {
 	s.mu.Lock()
-	if r, ok := s.mem[key]; ok {
+	if m, ok := s.mem[key]; ok {
+		if m.untouched {
+			s.mem[key] = memEntry{r: m.r}
+		}
 		s.mu.Unlock()
+		if m.untouched {
+			s.be.Touch(key)
+		}
 		s.hits.Add(1)
-		return r, true
+		return m.r, true
 	}
 	s.mu.Unlock()
 
@@ -135,8 +153,8 @@ func (s *Store) Get(key, version, canonical string) (host.Results, bool) {
 		s.misses.Add(1)
 		return host.Results{}, false
 	}
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	r, err := decodeEntry(data, version, canonical)
+	if err != nil {
 		// Corrupt or truncated entry (interrupted write on a filesystem
 		// without atomic rename, disk trouble, manual tampering): delete
 		// it so the recomputed result can be stored cleanly, and count it
@@ -145,23 +163,40 @@ func (s *Store) Get(key, version, canonical string) (host.Results, bool) {
 		s.dropCorrupt(key)
 		return host.Results{}, false
 	}
-	if e.Version != version || e.Canonical != canonical {
+	if r == nil {
 		s.misses.Add(1)
 		return host.Results{}, false
 	}
 	s.mu.Lock()
-	s.mem[key] = e.Results
+	s.mem[key] = memEntry{r: *r}
 	s.mu.Unlock()
 	s.be.Touch(key)
 	s.hits.Add(1)
-	return e.Results, true
+	return *r, true
+}
+
+// decodeEntry decodes a stored result entry. A nil result with a nil
+// error is a version or canonical mismatch; an error means the entry
+// does not parse.
+func decodeEntry(data []byte, version, canonical string) (*host.Results, error) {
+	var e entry
+	if err := json.Unmarshal(data, &e); err != nil {
+		return nil, err
+	}
+	if e.Version != version || e.Canonical != canonical {
+		return nil, nil
+	}
+	return &e.Results, nil
 }
 
 // Contains reports whether a valid entry for key exists, without
 // counting a hit or a miss — a pure peek for callers (the fidelity
 // warm-start planner) that only need to know whether the exact result
 // is already paid for, and must not skew the lookup accounting of the
-// run that follows. It doesn't touch recency either.
+// run that follows. It doesn't touch recency either. An entry it reads
+// from the backend is kept in the memory layer, so the Get that
+// usually follows costs no second read or decode; that Get still
+// counts the hit and bumps recency, as a Get of its own would.
 func (s *Store) Contains(key, version, canonical string) bool {
 	s.mu.Lock()
 	if _, ok := s.mem[key]; ok {
@@ -173,22 +208,28 @@ func (s *Store) Contains(key, version, canonical string) bool {
 	if !ok {
 		return false
 	}
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	r, err := decodeEntry(data, version, canonical)
+	if err != nil || r == nil {
 		return false
 	}
-	return e.Version == version && e.Canonical == canonical
+	s.mu.Lock()
+	if _, ok := s.mem[key]; !ok {
+		s.mem[key] = memEntry{r: *r, untouched: true}
+	}
+	s.mu.Unlock()
+	return true
 }
 
 // Put stores results under key. Disk writes are atomic (temp file +
 // rename) so concurrent sweep goroutines and interrupted runs never
-// leave a torn entry behind.
+// leave a torn entry behind. Entries are compact JSON; readers accept
+// any JSON layout, so indented entries written before still hit.
 func (s *Store) Put(key, version, canonical string, r host.Results) error {
 	s.mu.Lock()
-	s.mem[key] = r
+	s.mem[key] = memEntry{r: r}
 	s.mu.Unlock()
 
-	data, err := json.MarshalIndent(entry{Version: version, Canonical: canonical, Results: r}, "", " ")
+	data, err := json.Marshal(entry{Version: version, Canonical: canonical, Results: r})
 	if err != nil {
 		return fmt.Errorf("runcache: encoding entry: %w", err)
 	}

@@ -245,8 +245,8 @@ func TestFederatedMetricsSumToMergedCounters(t *testing.T) {
 
 	q := quickQuery(24)
 	q.Points = false
-	q.NoCache = false // exercise the cache so collapse/hit deltas flow
-	q.RangeHosts = 3  // 8 ranges
+	q.NoCache = false  // exercise the cache so collapse/hit deltas flow
+	q.RangeHosts = 3   // 8 ranges
 	q.EarlyStop = true // route through a router so its counters flow
 	res, _ := h.query(q)
 
