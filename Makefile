@@ -22,8 +22,8 @@ test-short:
 check: check-tests bench-compare bench-warm bench-serve bench-cold
 
 # check-tests: vet, the race-enabled test suite, a focused race pass
-# over the worker pool and singleflight layers (their concurrency tests
-# are the dedup/arena safety gate) and over the observatory (its
+# over the worker pool and the run cache (its in-flight collapse and
+# memory-store tests are, with the pool's, the dedup/arena safety gate) and over the observatory (its
 # collector takes concurrent Note/MetricsInto reads during fleet runs),
 # an explicit non-race pass over the zero-alloc gates
 # (TestEngineSteadyStateZeroAllocs, TestPacketPathZeroAllocs,

@@ -14,6 +14,9 @@ import (
 //     (engine.new, packet_path.pooled). The committed baseline is zero
 //     allocations; ANY increase fails, no tolerance — a single alloc
 //     per op is the regression the zero-alloc work exists to prevent.
+//     The fig6 point's event count and throughput are exact too: they
+//     count simulated work, which no machine changes, so ANY difference
+//     fails.
 //   - noisy: wall-clock and rate metrics (ns/op, events/sec,
 //     hosts/sec, peak memory). These move with machine load, so a
 //     degradation only fails beyond the relative tolerance
@@ -139,6 +142,15 @@ func compareReports(oldRep, newRep report, tol float64) cmpResult {
 
 	// Whole-simulator throughput on the fig6 point.
 	c.higherBetter("fig6_scenario.events_per_sec", oldRep.Fig6.EventsPerSec, newRep.Fig6.EventsPerSec, tol)
+	// The fig6 point's simulated work does not depend on the machine:
+	// its event count and throughput are exact, so any difference means
+	// the simulator's behaviour changed.
+	if !c.skipNote("fig6_scenario.events", float64(oldRep.Fig6.Events), float64(newRep.Fig6.Events)) {
+		if oldRep.Fig6.Events != newRep.Fig6.Events || oldRep.Fig6.AppGbps != newRep.Fig6.AppGbps {
+			c.failf("fig6_scenario work changed: %d events at %v Gbps -> %d events at %v Gbps (exact, host-independent)",
+				oldRep.Fig6.Events, oldRep.Fig6.AppGbps, newRep.Fig6.Events, newRep.Fig6.AppGbps)
+		}
+	}
 
 	// Observatory overhead: the sampler-on fig6 run must not slow down
 	// beyond tolerance (a baseline predating the observatory section

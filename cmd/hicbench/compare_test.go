@@ -14,6 +14,8 @@ func baseline() report {
 	r.Engine.New = benchResult{NsPerOp: 140, AllocsPerOp: 0, BytesPerOp: 0}
 	r.PacketPath.Pooled = benchResult{NsPerOp: 24, AllocsPerOp: 0, BytesPerOp: 0}
 	r.Fig6.EventsPerSec = 40e6
+	r.Fig6.Events = 469758
+	r.Fig6.AppGbps = 68.665344
 	r.Observatory.SamplerOnEventsPerSec = 38e6
 	r.Fleet.Hosts = 10000
 	r.Fleet.HostsPerSec = 90
@@ -92,6 +94,28 @@ func TestCompareCatchesRegressions(t *testing.T) {
 				t.Errorf("failure %q does not mention %s", res.fails[0], c.mention)
 			}
 		})
+	}
+}
+
+// TestCompareFig6WorkIsExact: the fig6 point's event count and
+// throughput are simulated-work counts, so any difference fails at any
+// tolerance, and a report without the section is skipped, not failed.
+func TestCompareFig6WorkIsExact(t *testing.T) {
+	for name, mutate := range map[string]func(*report){
+		"one more event": func(r *report) { r.Fig6.Events++ },
+		"throughput":     func(r *report) { r.Fig6.AppGbps += 1e-6 },
+	} {
+		changed := baseline()
+		mutate(&changed)
+		res := compareReports(baseline(), changed, 100.0)
+		if len(res.fails) != 1 || !strings.Contains(res.fails[0], "fig6_scenario work changed") {
+			t.Errorf("%s: fails = %v, want the fig6 work change", name, res.fails)
+		}
+	}
+	absent := baseline()
+	absent.Fig6 = fig6Scenario{}
+	if res := compareReports(baseline(), absent, 0.25); len(res.fails) != 0 {
+		t.Errorf("report without fig6 section failed: %v", res.fails)
 	}
 }
 

@@ -16,7 +16,7 @@
 //   - observatory: the same point with the sim-time observatory
 //     sampling, as an overhead percentage;
 //   - fleet: a Figure 1 fleet on the pooled worker runner with
-//     singleflight dedup, reporting hosts/sec, dedup rate, and peak
+//     in-memory dedup, reporting hosts/sec, dedup rate, and peak
 //     memory;
 //   - fidelity: the multi-fidelity execution layer — per-point cost of
 //     the fluid solver vs full DES, and the same fleet re-run with
@@ -281,7 +281,7 @@ func runSection(cfg cluster.Config, label string) (cluster.Stats, float64, error
 }
 
 func runFleet(hosts int) (fleetBench, error) {
-	// Pooled path: shared worker pool, arena reuse, singleflight dedup.
+	// Pooled path: shared worker pool, arena reuse, in-memory dedup.
 	cfg := fleetConfig(hosts)
 	mp := startMemPeak()
 	st, wall, err := runSection(cfg, "fleet bench")
@@ -515,8 +515,8 @@ func runWarmStart(hosts int, tol, auditRate, warmAuditRate float64) (warmStartBe
 	// Warm-point microbenchmark: one checkpoint donation plus the
 	// sibling seed's warm resume (build, prime, guard window, measure),
 	// timed at the core layer so every iteration really re-simulates —
-	// the router's singleflight retains completed results, which would
-	// turn a repeated planned run into a map lookup.
+	// a dedup store retains completed results, which would turn a
+	// repeated planned run into a map lookup.
 	p := core.DefaultParams(4)
 	p.Warmup, p.Measure = 2*sim.Millisecond, 3*sim.Millisecond
 	var snap host.Snapshot

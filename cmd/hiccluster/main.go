@@ -58,7 +58,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", runcache.DefaultDir, "run-cache directory (with -cache)")
 	cacheURL := flag.String("cache-url", "", "share a hicserve coordinator's run cache over HTTP instead of -cache-dir (implies -cache)")
 	cacheMaxMB := flag.Int("cache-max-mb", 0, "prune the run cache and warm store to this size at startup, oldest entries first (0 = unbounded)")
-	noDedup := flag.Bool("no-dedup", false, "disable singleflight dedup of byte-identical hosts (never changes results; for benchmarking)")
+	noDedup := flag.Bool("no-dedup", false, "without -cache, disable the in-memory dedup of byte-identical hosts (never changes results; for benchmarking)")
 	progress := flag.Bool("progress", true, "report progress, rate, and ETA on stderr")
 	verbose := flag.Bool("v", false, "print cache and dedup statistics on stderr")
 	incidentsOut := flag.String("incidents-out", "", "attach the sim-time observatory and append per-host congestion episodes as JSONL here ('-' = stdout; forces full DES)")

@@ -12,10 +12,10 @@
 // describes. Discreteness is what makes fleet scale tractable — a
 // production fleet has far more hosts than distinct configurations, so
 // byte-identical scenarios repeat, and because every simulation is
-// deterministic per Params, repeats are collapsed to one run by
-// in-process singleflight (and, optionally, the content-addressed run
-// cache). A 100k-host fleet costs on the order of a thousand
-// simulations.
+// deterministic per Params, repeats are collapsed to one run by a
+// runcache.Store: the content-addressed run cache when configured, an
+// in-memory one otherwise. A 100k-host fleet costs on the order of a
+// thousand simulations.
 //
 // Hosts are generated random-access (host i's parameters depend only on
 // Config.Seed and i, never on other hosts), so streaming runs need no
@@ -76,11 +76,11 @@ type Config struct {
 	// an early-stopped window can reproduce. When Exec is a
 	// *fidelity.Router, Stats reports its routing counters.
 	Exec core.Executor
-	// NoDedup disables the in-process singleflight that collapses
-	// byte-identical hosts into one simulation. Dedup never changes any
-	// output (the simulator is deterministic per Params); disabling it
-	// exists for benchmarking the non-deduplicated cost and for
-	// determinism tests.
+	// NoDedup, with Cache nil, disables the in-process memory store
+	// that collapses byte-identical hosts into one simulation. Dedup
+	// never changes any output (the simulator is deterministic per
+	// Params); disabling it exists for benchmarking the
+	// non-deduplicated cost and for determinism tests.
 	NoDedup bool
 	// Log, when non-nil, receives one-line diagnostics (the
 	// multi-window cache-skip notice). nil is silent.
@@ -100,7 +100,7 @@ type Config struct {
 	// phase). Observatory runs always execute full DES: episodes are a
 	// per-run byproduct neither the fluid solver nor the run cache
 	// produces, so Exec and Cache are ignored (with a Log note).
-	// Singleflight dedup stays on — collapsed hosts replay the
+	// In-memory dedup stays on — collapsed hosts replay the
 	// memoized report, which is exact because the simulation is
 	// deterministic per Params.
 	Observatory *observatory.Collector
@@ -123,11 +123,11 @@ func (cfg Config) windows() (warm, meas sim.Duration) {
 }
 
 // fleetExec is the executor every single-window host runs through. It
-// counts the plans actually run: a host served by the run cache or
-// collapsed by singleflight never reaches it. With no routing executor
-// it runs pure DES and, with an observatory, attaches the sampler and
-// memoizes the host's report under the scenario key, so a
-// dedup-collapsed host replays it.
+// counts the plans actually run: a host served or collapsed by the
+// run cache (or the batch-local memory store) never reaches it. With
+// no routing executor it runs pure DES and, with an observatory,
+// attaches the sampler and memoizes the host's report under the
+// scenario key, so a dedup-collapsed host replays it.
 type fleetExec struct {
 	exec core.Executor
 	obsv *observatory.Collector
@@ -483,12 +483,10 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 		exec = nil
 	}
 
-	// Dedup layer. With a store, the store's own singleflight already
-	// collapses concurrent duplicates and memoizes completed ones; the
-	// batch-local flight (memoizing) covers store-less runs. Multi-window
-	// hosts never dedup: their later bins continue one testbed's state,
-	// which no per-Params key can address.
-	var flight *runcache.Flight
+	// Dedup layer. A store collapses concurrent duplicates and memoizes
+	// completed ones; store-less runs get a batch-local memory store.
+	// Multi-window hosts never dedup: their later bins continue one
+	// testbed's state, which no per-Params key can address.
 	cache := cfg.Cache
 	if obsv != nil && cache != nil {
 		if cfg.Log != nil {
@@ -508,7 +506,7 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 			cache = nil
 		}
 	} else if !cfg.NoDedup && cache == nil {
-		flight = runcache.NewFlight(true)
+		cache = runcache.NewMemory()
 	}
 	var router *fidelity.Router
 	var routerBefore fidelity.Counters
@@ -554,13 +552,13 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 			}
 			p, meta := HostScenario(cfg, host)
 			if windows == 1 {
-				r, err := core.RunVia(fleet, p, cache, flight, a)
+				r, err := core.RunVia(fleet, p, cache, a)
 				if err != nil {
 					return hostOut{}, err
 				}
 				var rep *observatory.HostReport
 				if obsv != nil {
-					// flight.Do returns only after the winning compute
+					// GetOrCompute returns only after the winning compute
 					// finished, so a collapsed host finds the memo.
 					rep = obsv.Lookup(p.CacheKey())
 				}
@@ -595,8 +593,8 @@ func RunRange(cfg Config, lo, hi int, emit func(Point) error) (Stats, error) {
 		// Multi-window hosts always simulate in full and never collapse.
 		s.Simulated = uint64(n)
 	} else {
-		// A host whose plan never ran was served by the run cache or
-		// collapsed by singleflight.
+		// A host whose plan never ran was served or collapsed by the
+		// store.
 		ran := fleet.ran.Load()
 		s.Simulated, s.Collapsed = ran, uint64(n)-ran
 	}
@@ -640,7 +638,7 @@ type Stats struct {
 
 	// Simulated counts simulations actually executed (including fidelity
 	// anchor and audit runs); Collapsed counts single-window hosts served
-	// without simulating (singleflight dedup, run-cache hits, or a
+	// without simulating (in-memory dedup, run-cache hits, or a
 	// coinciding anchor's memoized result). CacheSkipped counts hosts
 	// that bypassed a configured cache because WindowsPerHost > 1. Zero
 	// for plain Summarize calls.

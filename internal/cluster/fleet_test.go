@@ -248,6 +248,62 @@ func TestFleetAutoRouterAccounting(t *testing.T) {
 	}
 }
 
+// TestFleetAutoSameWithAndWithoutStore: an auto-routed, audited fleet
+// dedups the same way through the batch-local memory store as through a
+// fresh disk store — same scatter, same simulations, same collapses and
+// the same routing counters. The one exception is AnchorReused: a store
+// the router shares serves an anchor-coincident host the anchor's own
+// entry before the host's plan runs, so there the host counts only as a
+// collapse. Collapsed counts both kinds.
+func TestFleetAutoSameWithAndWithoutStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a calibrated fleet twice")
+	}
+	run := func(store *runcache.Store) (string, Stats) {
+		cfg := quickConfig(20)
+		cfg.Warmup, cfg.Measure = 1*sim.Millisecond, 2*sim.Millisecond
+		router, err := fidelity.New(fidelity.Config{
+			Mode:        fidelity.ModeAuto,
+			Tol:         0.08,
+			AuditRate:   0.5,
+			AnchorSeeds: SeedPool(cfg),
+			AnchorAnts:  []int{0, 8, 15},
+			Cache:       store,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Exec, cfg.Cache = router, store
+		var points []Point
+		st, err := RunStream(cfg, func(p Point) error {
+			points = append(points, p)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fleetHash(points), st
+	}
+	store, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	memHash, mem := run(nil)
+	diskHash, disk := run(store)
+	if memHash != diskHash {
+		t.Errorf("fleet hash without a store %s != with a disk store %s", memHash, diskHash)
+	}
+	memC, diskC := mem.Counters, disk.Counters
+	memC.AnchorReused, diskC.AnchorReused = 0, 0
+	if mem.Simulated != disk.Simulated || mem.Collapsed != disk.Collapsed || memC != diskC {
+		t.Errorf("accounting differs:\nno store:   sim %d collapsed %d %+v\ndisk store: sim %d collapsed %d %+v",
+			mem.Simulated, mem.Collapsed, mem.Counters, disk.Simulated, disk.Collapsed, disk.Counters)
+	}
+	if mem.Audited == 0 || mem.FluidRouted == 0 {
+		t.Errorf("fleet audited %d and fluid-routed %d hosts, want both > 0", mem.Audited, mem.FluidRouted)
+	}
+}
+
 // TestFleetGoldenWithObservatory pins the tentpole passivity property at
 // fleet scale: attaching the observatory leaves the golden fleet hash
 // byte-identical, dedup still collapses hosts (collapsed hosts replay

@@ -20,9 +20,9 @@
 //     observatory fleets, hicfigs and hicbench.
 //   - RunFluid(p) evaluates the analytical fluid solver instead; the
 //     fidelity router and the benchmark call it.
-//   - RunVia(exec, p, cache, flight, a) runs one scenario through an
-//     Executor, the result cache and a singleflight; cluster fleets and
-//     single routed points use it.
+//   - RunVia(exec, p, cache, a) runs one scenario through an Executor
+//     and a runcache.Store, which collapses duplicates; cluster fleets
+//     and single routed points use it.
 //   - RunEach(exec, ps, cache, emit) fans scenarios out over the shared
 //     worker pool (internal/runner) and streams results in input order;
 //     sweeps, figure experiments and examples use it. Each worker owns

@@ -20,10 +20,10 @@ import (
 // Plan must be deterministic for a given Params and must return the
 // cache version salt the chosen execution's result is stored under:
 // exactly SimVersion when (and only when) the result is bit-identical
-// to pure DES, a distinct salt otherwise. The singleflight and run
-// cache key on that salt, so approximate results can never be returned
-// to (or collapsed with) a pure-DES request — see internal/runcache's
-// package documentation.
+// to pure DES, a distinct salt otherwise. RunVia's store (run cache or
+// in-memory dedup) keys on that salt, so approximate results can never
+// be returned to (or collapsed with) a pure-DES request — see
+// internal/runcache's package documentation.
 type Executor interface {
 	Plan(p Params) (version string, run func(*runner.Arena) (Results, error), err error)
 }
@@ -136,28 +136,23 @@ func PlanVia(exec Executor, p Params) (string, func(*runner.Arena) (Results, err
 // RunVia executes one scenario through the executor (nil is pure DES)
 // on the arena a (nil builds fresh substrate). The windows are
 // normalized first, so the plan and the cache key see what actually
-// runs. A stored result for the plan's version is returned as-is;
-// otherwise the run is collapsed with concurrent duplicates — by the
-// store's own singleflight when cache is set, else by flight — and a
-// computed result is stored. With neither, the plan simply runs.
-// Collapsing keys on the plan's version, so a fluid-routed point can
-// never satisfy a DES-routed one.
-func RunVia(exec Executor, p Params, cache *runcache.Store, flight *runcache.Flight, a *runner.Arena) (Results, error) {
+// runs. With a cache, a stored result for the plan's version is
+// returned as-is; otherwise the run is collapsed with concurrent
+// duplicates and the computed result stored. Without one, the plan
+// simply runs. Keys carry the plan's version, so a fluid-routed point
+// can never satisfy a DES-routed one.
+func RunVia(exec Executor, p Params, cache *runcache.Store, a *runner.Arena) (Results, error) {
 	p.normalizeWindows()
 	version, run, err := PlanVia(exec, p)
 	if err != nil {
 		return Results{}, err
 	}
-	if cache == nil && flight == nil {
+	if cache == nil {
 		return run(a)
 	}
 	canonical := p.Canonical()
-	key := runcache.Key(version, canonical)
-	compute := func() (Results, error) { return run(a) }
-	if cache != nil {
-		return cache.GetOrCompute(key, version, canonical, compute)
-	}
-	return flight.Do(key, compute)
+	return cache.GetOrCompute(runcache.Key(version, canonical), version, canonical,
+		func() (Results, error) { return run(a) })
 }
 
 // RunEach executes scenarios through the executor (nil is pure DES) on
@@ -165,16 +160,15 @@ func RunVia(exec Executor, p Params, cache *runcache.Store, flight *runcache.Fli
 // without materializing the whole result slice — memory stays
 // O(workers), not O(scenarios); callers that want a slice collect it in
 // emit. Duplicate Params collapse to one execution through the cache,
-// or through a batch-local singleflight without one. The first
+// or through a batch-local memory store without one. The first
 // build/run error, or a non-nil emit error, aborts the batch and is
 // returned.
 func RunEach(exec Executor, ps []Params, cache *runcache.Store, emit func(i int, r Results) error) error {
-	var flight *runcache.Flight
 	if cache == nil {
-		flight = runcache.NewFlight(true)
+		cache = runcache.NewMemory()
 	}
 	return runner.MapOrdered(runner.Shared(), len(ps),
 		func(i int, a *runner.Arena) (Results, error) {
-			return RunVia(exec, ps[i], cache, flight, a)
+			return RunVia(exec, ps[i], cache, a)
 		}, emit)
 }

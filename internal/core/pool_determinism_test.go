@@ -10,7 +10,7 @@ import (
 
 // TestPooledGoldenDeterminism is the worker-pool counterpart of
 // TestGoldenDeterminism: the golden scenarios run through RunEach —
-// worker arenas, engine/registry reuse, batch-local singleflight — with
+// worker arenas, engine/registry reuse, a batch-local memory store — with
 // every scenario duplicated, twice back to back so the second batch
 // lands on arenas dirtied by the first. Every result, including the
 // dedup-served duplicates, must still match the pre-rewrite golden
@@ -24,7 +24,7 @@ func TestPooledGoldenDeterminism(t *testing.T) {
 	for _, seed := range []uint64{1, 7} {
 		for _, name := range []string{"fig3", "fig6"} {
 			// Two copies of each scenario: the second must be collapsed
-			// onto the first by singleflight without changing its result.
+			// onto the first by the memory store without changing its result.
 			for c := 0; c < 2; c++ {
 				ps = append(ps, goldenParams(name, seed))
 				keys = append(keys, fmt.Sprintf("%s/seed=%d", name, seed))

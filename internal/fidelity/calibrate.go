@@ -33,8 +33,9 @@ const (
 // regime the point actually sits in and never depends on query order.
 // des memoizes every DES execution calibration performs, keyed by
 // (tier, seed): anchor coordinates are drawn from the caller's seed
-// pool, so these are real fleet/sweep points and any DES-routed point
-// that coincides with one is served from here instead of re-simulated.
+// pool, so these are real fleet/sweep points, and every point that
+// coincides with one (anchorCoincident) is served from here instead of
+// re-simulated.
 // loaded, ckptRaw, ckpts, ckptNew, and ckptCoords belong to the
 // persistent warm-start layer (persist.go/warm.go): loaded latches the
 // one-time warm-store consultation; ckpts are donor checkpoints decoded
@@ -110,16 +111,11 @@ func (r *Router) sigFor(p core.Params) *sigCalib {
 // cached under the same salt as, and are interchangeable with, any
 // DES-routed point at the same coordinates.
 func (r *Router) runAnchor(ap core.Params) (core.Results, error) {
-	version := r.desV
-	compute := func() (core.Results, error) {
+	version, canonical := r.desV, ap.Canonical()
+	return r.cfg.Cache.GetOrCompute(runcache.Key(version, canonical), version, canonical, func() (core.Results, error) {
 		r.tally(func(c *Counters) { c.AnchorRuns++ })
 		return core.Simulate(ap, nil, r.drive(false))
-	}
-	canonical := ap.Canonical()
-	if r.cfg.Cache != nil {
-		return r.cfg.Cache.GetOrCompute(runcache.Key(version, canonical), version, canonical, compute)
-	}
-	return r.flight.Do(runcache.Key(version, canonical), compute)
+	})
 }
 
 // ensureAnchor materializes the anchor at tier ant (caller holds s.mu).
@@ -242,39 +238,6 @@ func (r *Router) ensureCoincidentDES(s *sigCalib, p core.Params) (core.Results, 
 		return core.Results{}, err
 	}
 	return s.des[coord], nil
-}
-
-// memoizedAnchor returns the already-computed calibration DES result
-// when p coincides with one exactly — an anchor (seed 0) or a noise run
-// (seed 1) — letting knee- or tolerance-routed points reuse the
-// calibration work instead of re-simulating. With AnchorSeeds drawn
-// from the caller's seed pool this makes calibration nearly free at
-// fleet scale: its DES runs substitute for the fleet's own.
-//
-// This check is opportunistic (memo presence depends on query order),
-// so it is only used where reuse cannot change bytes: DES-routed
-// points, whose fresh execution resolves through the same cache/flight
-// key the anchor was stored under and therefore returns the identical
-// result either way. Routing decisions use anchorCoincident instead.
-// s is p's signature state.
-func (r *Router) memoizedAnchor(s *sigCalib, p core.Params) (core.Results, bool) {
-	seedMatch := false
-	for _, s := range r.cfg.AnchorSeeds {
-		if p.Seed == s {
-			seedMatch = true
-			break
-		}
-	}
-	if !seedMatch {
-		return core.Results{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r.loadSig(s, p)
-	if des, ok := s.des[anchorCoord{p.AntagonistCores, p.Seed}]; ok {
-		return des, true
-	}
-	return core.Results{}, false
 }
 
 // calibrate computes the calibrated prediction for p, its error bound,

@@ -121,8 +121,10 @@ type Config struct {
 	// host.DefaultStopRule()).
 	EarlyStop bool
 	StopRule  host.StopRule
-	// Cache, when non-nil, memoizes anchor and audit DES runs (and is
-	// normally the same store the surrounding sweep uses).
+	// Cache memoizes anchor runs and answers the warm planner's "is the
+	// exact result already stored" check. It is normally the same store
+	// the surrounding sweep uses; nil gives the router a private
+	// memory store (runcache.NewMemory).
 	Cache *runcache.Store
 	// AnchorSeeds are the seeds calibration anchors run under; the
 	// first is the primary, the second (if any) measures seed-to-seed
@@ -166,8 +168,8 @@ type Config struct {
 }
 
 // Counters is the execution accounting a Router accumulates. All
-// counts are of executions actually performed: points served from the
-// run cache or collapsed by singleflight are not re-counted.
+// counts are of executions actually performed: points served or
+// collapsed by a run cache or memory store are not re-counted.
 type Counters struct {
 	// FluidRouted counts points computed by the (calibrated) fluid
 	// solver; DESRouted counts points simulated (including audits).
@@ -278,13 +280,6 @@ type Router struct {
 	cfg   Config
 	tol   float64
 	estop *core.EarlyStop
-	// flight collapses a calibration anchor run and a DES-routed
-	// execution of the same point into one simulation when no Cache is
-	// configured (with a Cache, the store's own singleflight does this).
-	// Calibration runs inside Plan, concurrently with other workers
-	// executing plans, so the same coordinates are routinely in flight
-	// on both paths at once.
-	flight *runcache.Flight
 
 	// The router's version salts depend only on its configuration, so
 	// New renders each once. desV salts DES-routed results: pure DES,
@@ -344,11 +339,12 @@ func New(cfg Config) (*Router, error) {
 		}
 	}
 	cfg.AnchorAnts = ants
-	// Memoizing: an anchor computed during calibration must still
-	// satisfy a DES-routed execution of the same point that starts
-	// after the anchor completed, not just concurrent ones.
-	r := &Router{cfg: cfg, tol: cfg.Tol, sigs: make(map[string]*sigCalib),
-		flight: runcache.NewFlight(true)}
+	if cfg.Cache == nil {
+		// Anchor runs always resolve through a store, so concurrent
+		// calibrations of one signature share each simulation.
+		cfg.Cache = runcache.NewMemory()
+	}
+	r := &Router{cfg: cfg, tol: cfg.Tol, sigs: make(map[string]*sigCalib)}
 	if r.tol == 0 {
 		r.tol = 0.05
 	}
@@ -473,54 +469,26 @@ func (r *Router) Plan(p core.Params) (string, func(*runner.Arena) (core.Results,
 	}
 }
 
-// desPlan routes to DES, with early stopping when configured. The run
-// executes under the router's singleflight so it can collapse with a
-// calibration anchor at the same coordinates racing on another worker.
-// Under WarmFull, a persisted donor checkpoint diverts the point to a
-// warm start first; a point that runs cold donates its own converged
-// snapshot for future processes. canonical is p's encoding; s is p's
-// signature state, or nil when the caller has not resolved it.
+// desPlan routes to DES, with early stopping when configured. The
+// plan does not dedup itself: the caller's core.RunVia store collapses
+// duplicate executions. Under WarmFull, a persisted donor checkpoint
+// diverts the point to a warm start first; a point that runs cold
+// donates its own converged snapshot for future processes. canonical
+// is p's encoding; s is p's signature state, or nil when the caller has
+// not resolved it.
 func (r *Router) desPlan(p core.Params, s *sigCalib, canonical, why string) (string, func(*runner.Arena) (core.Results, error), error) {
 	if version, run, ok, err := r.warmPlan(p, s, canonical, why); ok || err != nil {
 		return version, run, err
 	}
-	r.logf("fidelity: DES %s ant=%d%s", sigLabel(p), p.AntagonistCores, reason(why))
+	if r.cfg.Log != nil {
+		r.logf("fidelity: DES %s ant=%d%s", sigLabel(p), p.AntagonistCores, reason(why))
+	}
 	r.emitRoute(p, "des", why)
-	version := r.desV
 	drive := r.drive(r.warmFullOn())
-	run := func(a *runner.Arena) (core.Results, error) { return core.Simulate(p, a, drive) }
-	if r.cfg.Cache != nil {
-		// The outer funnel resolves through the cache (whose store has
-		// its own singleflight on the same key), so no extra layer here.
-		return version, func(a *runner.Arena) (core.Results, error) {
-			r.tally(func(c *Counters) { c.DESRouted++ })
-			return run(a)
-		}, nil
-	}
-	key := runcache.Key(version, canonical)
-	return version, func(a *runner.Arena) (core.Results, error) {
-		return r.flight.Do(key, func() (core.Results, error) {
-			r.tally(func(c *Counters) { c.DESRouted++ })
-			return run(a)
-		})
+	return r.desV, func(a *runner.Arena) (core.Results, error) {
+		r.tally(func(c *Counters) { c.DESRouted++ })
+		return core.Simulate(p, a, drive)
 	}, nil
-}
-
-// desPlanAuto is desPlan, except a point that coincides exactly with an
-// already-materialized calibration anchor reuses the anchor's DES result
-// (same Params, same seed, same execution plan — it IS that run)
-// instead of re-simulating. The version salt matches how the anchor was
-// executed: pure DES, or the early-stopped variant when EarlyStop is on.
-func (r *Router) desPlanAuto(p core.Params, s *sigCalib, canonical, why string) (string, func(*runner.Arena) (core.Results, error), error) {
-	if des, hit := r.memoizedAnchor(s, p); hit {
-		r.logf("fidelity: anchor-reuse %s ant=%d%s", sigLabel(p), p.AntagonistCores, reason(why))
-		r.emitRoute(p, "anchor-reuse", why)
-		return r.desV, func(*runner.Arena) (core.Results, error) {
-			r.tally(func(c *Counters) { c.AnchorReused++ })
-			return des, nil
-		}, nil
-	}
-	return r.desPlan(p, s, canonical, why)
 }
 
 // Knee bands: inside these the discrete dynamics DES captures dominate
@@ -595,7 +563,9 @@ func (r *Router) autoPlan(p core.Params) (string, func(*runner.Arena) (core.Resu
 		if cerr != nil {
 			return "", nil, fmt.Errorf("fidelity: calibrating %s: %w", sigLabel(p), cerr)
 		}
-		r.logf("fidelity: anchor-reuse %s ant=%d", sigLabel(p), p.AntagonistCores)
+		if r.cfg.Log != nil {
+			r.logf("fidelity: anchor-reuse %s ant=%d", sigLabel(p), p.AntagonistCores)
+		}
 		r.emitRoute(p, "anchor-reuse", "")
 		return r.desV, func(*runner.Arena) (core.Results, error) {
 			r.tally(func(c *Counters) { c.AnchorReused++ })
@@ -605,17 +575,17 @@ func (r *Router) autoPlan(p core.Params) (string, func(*runner.Arena) (core.Resu
 	canonical := p.Canonical()
 	if why, near := nearKnee(pred); near {
 		r.tally(func(c *Counters) { c.KneeForced++ })
-		return r.desPlanAuto(p, s, canonical, why)
+		return r.desPlan(p, s, canonical, why)
 	}
 	adj, errBound, calV, ok, err := r.calibrate(s, p, pred)
 	if err != nil {
 		return "", nil, fmt.Errorf("fidelity: calibrating %s: %w", sigLabel(p), err)
 	}
 	if !ok {
-		return r.desPlanAuto(p, s, canonical, "uncalibratable")
+		return r.desPlan(p, s, canonical, "uncalibratable")
 	}
 	if errBound > routeMargin*r.tol {
-		return r.desPlanAuto(p, s, canonical, fmt.Sprintf("errBound %.3f > %.2f*tol %.3f", errBound, routeMargin, r.tol))
+		return r.desPlan(p, s, canonical, fmt.Sprintf("errBound %.3f > %.2f*tol %.3f", errBound, routeMargin, r.tol))
 	}
 	return r.fluidPlan(p, canonical, adj, calV)
 }
@@ -701,6 +671,9 @@ func isUnsupported(err error) bool {
 	return ok
 }
 
+// logf writes one diagnostic line to Config.Log. Per-point call sites
+// test Config.Log first, so a router without a log never formats their
+// arguments (sigLabel is a Sprintf).
 func (r *Router) logf(format string, args ...any) {
 	if r.cfg.Log != nil {
 		fmt.Fprintf(r.cfg.Log, format+"\n", args...)

@@ -1,6 +1,7 @@
 package fidelity
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestModeDESMatchesPlainRun(t *testing.T) {
 	if version != core.SimVersion {
 		t.Fatalf("ModeDES version = %q, want %q", version, core.SimVersion)
 	}
-	got, err := core.RunVia(r, p, nil, nil, nil)
+	got, err := core.RunVia(r, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +276,24 @@ func TestCountersAddSub(t *testing.T) {
 	b.AuditMaxErr, b.WarmAuditMaxErr = sum.AuditMaxErr, sum.WarmAuditMaxErr
 	if d != b {
 		t.Fatalf("Sub = %+v, want %+v", d, b)
+	}
+}
+
+// TestPlanWithoutLogSkipsFormatting: a router without a log never
+// formats its routing diagnostics, so planning a DES-routed point
+// allocates less than it does with a log installed.
+func TestPlanWithoutLogSkipsFormatting(t *testing.T) {
+	p := core.DefaultParams(4)
+	allocs := func(log io.Writer) float64 {
+		r := mustRouter(t, Config{Mode: ModeDES, Log: log})
+		return testing.AllocsPerRun(50, func() {
+			if _, _, err := r.Plan(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	quiet, logged := allocs(nil), allocs(io.Discard)
+	if quiet >= logged {
+		t.Errorf("Plan allocates %.0f per call without a log, %.0f with one; want fewer without", quiet, logged)
 	}
 }

@@ -39,7 +39,7 @@ func TestEveryDESRunFoldsMetrics(t *testing.T) {
 
 	es := &core.EarlyStop{Rule: host.DefaultStopRule()}
 	for i := 0; i < n; i++ {
-		if _, err := core.RunVia(es, point(uint64(100+i)), nil, nil, nil); err != nil {
+		if _, err := core.RunVia(es, point(uint64(100+i)), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func TestEveryDESRunFoldsMetrics(t *testing.T) {
 		sink.folds.Store(0)
 		r := mustRouter(t, Config{Mode: ModeDES, EarlyStop: true, Warm: WarmFull, WarmStore: openStore(t, dir)})
 		for i := 0; i < n; i++ {
-			if _, err := core.RunVia(r, point(uint64(200+i)), nil, nil, nil); err != nil {
+			if _, err := core.RunVia(r, point(uint64(200+i)), nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

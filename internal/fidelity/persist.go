@@ -64,8 +64,8 @@ func (r *Router) calibPersistOn() bool {
 // loadSig consults the warm store the first time a signature is touched
 // (caller holds s.mu). Loaded anchors and noise tiers short-circuit
 // ensureAnchor/ensureNoise exactly as if this process had computed
-// them; loaded DES runs feed memoizedAnchor, so anchor-coinciding fleet
-// points are served their exact cold results without simulating.
+// them; loaded DES runs feed ensureCoincidentDES, so anchor-coinciding
+// fleet points are served their exact cold results without simulating.
 func (r *Router) loadSig(s *sigCalib, p core.Params) {
 	if s.loaded {
 		return

@@ -225,8 +225,8 @@ func (r *Router) warmPlan(p core.Params, s *sigCalib, canonical, why string) (ve
 	r.loadSig(s, p)
 	s.mu.Unlock()
 	desV := r.desV
-	if r.cfg.Cache != nil && r.cfg.Cache.Contains(runcache.Key(desV, canonical), desV, canonical) {
-		// The exact result is already on disk; never shadow it with an
+	if r.cfg.Cache.Contains(runcache.Key(desV, canonical), desV, canonical) {
+		// The exact result is already stored; never shadow it with an
 		// approximation, nor decode donors for it.
 		return "", nil, false, nil
 	}
@@ -243,7 +243,9 @@ func (r *Router) warmPlan(p core.Params, s *sigCalib, canonical, why string) (ve
 		// Warm audits run (and cache) authoritative cold DES under the
 		// pure-DES salt; the warm start is executed as a shadow and only
 		// compared.
-		r.logf("fidelity: warm-audit %s ant=%d seed=%d (donor %d:%d)", sigLabel(p), p.AntagonistCores, p.Seed, donor.Ant, donor.Seed)
+		if r.cfg.Log != nil {
+			r.logf("fidelity: warm-audit %s ant=%d seed=%d (donor %d:%d)", sigLabel(p), p.AntagonistCores, p.Seed, donor.Ant, donor.Seed)
+		}
 		r.emitRoute(p, "warm-audit", why)
 		audit := func(a *runner.Arena) (core.Results, error) {
 			des, err := r.runColdCaptured(p, a)
@@ -280,11 +282,13 @@ func (r *Router) warmPlan(p core.Params, s *sigCalib, canonical, why string) (ve
 			})
 			return des, nil
 		}
-		return desV, r.funnel(desV, canonical, audit), true, nil
+		return desV, audit, true, nil
 	}
 
-	r.logf("fidelity: warm-start %s ant=%d seed=%d from donor %d:%d (guard %s)%s",
-		sigLabel(p), p.AntagonistCores, p.Seed, donor.Ant, donor.Seed, guard, reason(why))
+	if r.cfg.Log != nil {
+		r.logf("fidelity: warm-start %s ant=%d seed=%d from donor %d:%d (guard %s)%s",
+			sigLabel(p), p.AntagonistCores, p.Seed, donor.Ant, donor.Seed, guard, reason(why))
+	}
 	r.emitRoute(p, "warm", why)
 	version = fmt.Sprintf("%s+warm(d=%d:%d@%d,g=%s)", desV, donor.Ant, donor.Seed, int64(donor.Snap.Engine.Now), guard)
 	warmRun := func(a *runner.Arena) (core.Results, error) {
@@ -297,7 +301,7 @@ func (r *Router) warmPlan(p core.Params, s *sigCalib, canonical, why string) (ve
 		})
 		return core.Simulate(p, a, warmDrive(r.estop, donor.Snap, guard, r.cfg.Sink))
 	}
-	return version, r.funnel(version, canonical, warmRun), true, nil
+	return version, warmRun, true, nil
 }
 
 // runColdCaptured executes authoritative cold DES for p (early-stopped
@@ -315,18 +319,5 @@ func warmDrive(e *core.EarlyStop, snap host.Snapshot, guard sim.Duration, sink o
 	return func(tb *host.Testbed, p core.Params) core.Results {
 		tb.Prime(snap)
 		return e.Drive(tb, p, guard, sink)
-	}
-}
-
-// funnel wraps run in the router's singleflight when no result cache is
-// configured (with one, the outer core.RunVia funnel already collapses
-// through the store).
-func (r *Router) funnel(version, canonical string, run func(*runner.Arena) (core.Results, error)) func(*runner.Arena) (core.Results, error) {
-	if r.cfg.Cache != nil {
-		return run
-	}
-	key := runcache.Key(version, canonical)
-	return func(a *runner.Arena) (core.Results, error) {
-		return r.flight.Do(key, func() (core.Results, error) { return run(a) })
 	}
 }

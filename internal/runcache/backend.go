@@ -10,7 +10,7 @@ import (
 // Backend is the raw byte store a Store sits on top of: a flat
 // content-addressed namespace of opaque entry payloads. The Store owns
 // everything semantic — the entry/blob JSON envelopes, version and
-// canonical verification, the write-through memory layer, singleflight,
+// canonical verification, the write-through memory layer, in-flight collapse,
 // and hit/miss accounting — while the backend only moves bytes, so one
 // Store implementation serves both a local directory (diskBackend) and
 // a coordinator's cache API on another machine (HTTPBackend).

@@ -10,11 +10,11 @@ import (
 	"hic/internal/host"
 )
 
-// waitCollapses parks until the flight (or store) reports want collapsed
-// callers. Collapse counters increment before a caller parks on the
-// in-flight wait, so reaching want means exactly one caller is computing
-// and want callers are parked — the release below then provably
-// exercises the collapse path, not a lucky interleaving.
+// waitCollapses parks until the store reports want collapsed callers.
+// Collapse counters increment before a caller parks on the in-flight
+// wait, so reaching want means exactly one caller is computing and
+// want callers are parked — the release below then provably exercises
+// the collapse path, not a lucky interleaving.
 func waitCollapses(t *testing.T, current func() uint64, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -26,8 +26,16 @@ func waitCollapses(t *testing.T, current func() uint64, want uint64) {
 	}
 }
 
+// collapses reads a store's in-flight collapse count.
+func collapses(s *Store) func() uint64 {
+	return func() uint64 { return s.Stats().Collapses }
+}
+
+// The TestFlight* cases pin the in-flight collapse and the memo on a
+// memory-only store, the dedup layer of every caller without a cache.
+
 func TestFlightCollapsesConcurrentCalls(t *testing.T) {
-	f := NewFlight(false)
+	s := NewMemory()
 	const callers = 16
 	var computes atomic.Int32
 	gate := make(chan struct{})
@@ -37,7 +45,7 @@ func TestFlightCollapsesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := f.Do("k", func() (host.Results, error) {
+			r, err := s.GetOrCompute("k", "v", "c", func() (host.Results, error) {
 				<-gate // hold every other caller in the in-flight wait
 				computes.Add(1)
 				return host.Results{RxPackets: 42}, nil
@@ -48,7 +56,7 @@ func TestFlightCollapsesConcurrentCalls(t *testing.T) {
 			results[i] = r
 		}(i)
 	}
-	waitCollapses(t, f.Collapses, callers-1)
+	waitCollapses(t, collapses(s), callers-1)
 	close(gate)
 	wg.Wait()
 	if got := computes.Load(); got != 1 {
@@ -59,54 +67,54 @@ func TestFlightCollapsesConcurrentCalls(t *testing.T) {
 			t.Fatalf("caller %d got %+v", i, r)
 		}
 	}
-	if c := f.Collapses(); c != callers-1 {
-		t.Fatalf("Collapses() = %d, want %d", c, callers-1)
+	if st := s.Stats(); st.Collapses != callers-1 || st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("Stats() = %+v, want %d collapses and one miss", st, callers-1)
 	}
 }
 
+// TestFlightMemoization: later calls on a memory store are memory-layer
+// hits, never recomputed and never counted as collapses.
 func TestFlightMemoization(t *testing.T) {
 	var computes atomic.Int32
 	compute := func() (host.Results, error) {
 		computes.Add(1)
 		return host.Results{Drops: 7}, nil
 	}
-
-	memo := NewFlight(true)
+	s := NewMemory()
 	for i := 0; i < 5; i++ {
-		if _, err := memo.Do("k", compute); err != nil {
-			t.Fatal(err)
+		r, err := s.GetOrCompute("k", "v", "c", compute)
+		if err != nil || r.Drops != 7 {
+			t.Fatalf("call %d: r=%+v err=%v", i, r, err)
 		}
 	}
 	if computes.Load() != 1 {
-		t.Fatalf("memoizing flight computed %d times, want 1", computes.Load())
+		t.Fatalf("memory store computed %d times, want 1", computes.Load())
 	}
-	if memo.Collapses() != 4 {
-		t.Fatalf("Collapses() = %d, want 4", memo.Collapses())
+	if st := s.Stats(); st.Hits != 4 || st.Misses != 1 || st.Collapses != 0 {
+		t.Fatalf("Stats() = %+v, want 4 hits, 1 miss, 0 collapses", st)
 	}
-
-	computes.Store(0)
-	plain := NewFlight(false)
-	for i := 0; i < 5; i++ {
-		if _, err := plain.Do("k", compute); err != nil {
-			t.Fatal(err)
-		}
+	if r, ok := s.Get("k", "v", "c"); !ok || r.Drops != 7 {
+		t.Fatalf("Get after compute = %+v, %v", r, ok)
 	}
-	if computes.Load() != 5 {
-		t.Fatalf("non-memoizing flight computed %d times, want 5 (sequential calls never overlap)", computes.Load())
+	if !s.Contains("k", "v", "c") || s.Contains("other", "v", "c") {
+		t.Fatal("Contains disagrees with the memory layer")
+	}
+	if n, err := s.Len(); n != 0 || err != nil {
+		t.Fatalf("Len() = %d, %v on a memory store, want 0", n, err)
 	}
 }
 
 func TestFlightErrorsNotMemoized(t *testing.T) {
-	f := NewFlight(true)
+	s := NewMemory()
 	boom := errors.New("boom")
 	calls := 0
-	if _, err := f.Do("k", func() (host.Results, error) {
+	if _, err := s.GetOrCompute("k", "v", "c", func() (host.Results, error) {
 		calls++
-		return host.Results{}, boom
+		return host.Results{Goodput: 1}, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	r, err := f.Do("k", func() (host.Results, error) {
+	r, err := s.GetOrCompute("k", "v", "c", func() (host.Results, error) {
 		calls++
 		return host.Results{Goodput: 9}, nil
 	})
@@ -123,7 +131,7 @@ func TestFlightErrorsNotMemoized(t *testing.T) {
 // its error, and the failure leaves no residue — a later concurrent wave
 // on the same key computes exactly once and succeeds.
 func TestFlightConcurrentErrorsNotMemoized(t *testing.T) {
-	f := NewFlight(true)
+	s := NewMemory()
 	boom := errors.New("boom")
 	const callers = 8
 
@@ -134,13 +142,13 @@ func TestFlightConcurrentErrorsNotMemoized(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = f.Do("k", func() (host.Results, error) {
+			_, errs[i] = s.GetOrCompute("k", "v", "c", func() (host.Results, error) {
 				<-gate // park every other caller in the in-flight wait
 				return host.Results{}, boom
 			})
 		}(i)
 	}
-	waitCollapses(t, f.Collapses, callers-1)
+	waitCollapses(t, collapses(s), callers-1)
 	close(gate)
 	wg.Wait()
 	for i, err := range errs {
@@ -153,14 +161,14 @@ func TestFlightConcurrentErrorsNotMemoized(t *testing.T) {
 	// collapses onto a single fresh computation that everyone shares.
 	var computes atomic.Int32
 	gate2 := make(chan struct{})
-	before := f.Collapses()
+	before := s.Stats().Collapses
 	results := make([]host.Results, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			var err error
-			results[i], err = f.Do("k", func() (host.Results, error) {
+			results[i], err = s.GetOrCompute("k", "v", "c", func() (host.Results, error) {
 				<-gate2
 				computes.Add(1)
 				return host.Results{Goodput: 9}, nil
@@ -170,11 +178,11 @@ func TestFlightConcurrentErrorsNotMemoized(t *testing.T) {
 			}
 		}(i)
 	}
-	waitCollapses(t, f.Collapses, before+callers-1)
+	waitCollapses(t, collapses(s), before+callers-1)
 	close(gate2)
 	wg.Wait()
 	if got := computes.Load(); got != 1 {
-		t.Fatalf("retry computed %d times, want 1 (error memoized or flight stuck)", got)
+		t.Fatalf("retry computed %d times, want 1 (error memoized or collapse stuck)", got)
 	}
 	for i, r := range results {
 		if r.Goodput != 9 {
@@ -184,16 +192,16 @@ func TestFlightConcurrentErrorsNotMemoized(t *testing.T) {
 }
 
 func TestFlightDistinctKeysDoNotCollapse(t *testing.T) {
-	f := NewFlight(true)
+	s := NewMemory()
 	for _, k := range []string{"a", "b", "c"} {
-		if _, err := f.Do(k, func() (host.Results, error) {
+		if _, err := s.GetOrCompute(k, "v", "c", func() (host.Results, error) {
 			return host.Results{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if f.Collapses() != 0 {
-		t.Fatalf("Collapses() = %d across distinct keys, want 0", f.Collapses())
+	if st := s.Stats(); st.Collapses != 0 || st.Misses != 3 {
+		t.Fatalf("Stats() = %+v across distinct keys, want 3 misses and 0 collapses", st)
 	}
 }
 
@@ -223,7 +231,7 @@ func TestStoreGetOrComputeSingleflight(t *testing.T) {
 			}
 		}()
 	}
-	waitCollapses(t, func() uint64 { return s.Stats().Collapses }, callers-1)
+	waitCollapses(t, collapses(s), callers-1)
 	close(gate)
 	wg.Wait()
 	if computes.Load() != 1 {
@@ -269,7 +277,7 @@ func TestSummaryMentionsCollapses(t *testing.T) {
 			})
 		}()
 	}
-	waitCollapses(t, func() uint64 { return s.Stats().Collapses }, 1)
+	waitCollapses(t, collapses(s), 1)
 	close(gate)
 	wg.Wait()
 	if got := s.Summary(); got != "0 hits, 1 misses, 1 singleflight collapses" {

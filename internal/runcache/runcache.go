@@ -21,6 +21,13 @@
 // calibration blobs, and warm checkpoints dedup across machines — one
 // worker's DES anchor warms every other worker's fluid routing.
 //
+// A Store is also the one in-process dedup memo. GetOrCompute collapses
+// concurrent computations of a key into one, and the memory layer
+// serves later ones, so byte-identical fleet hosts cost one simulation.
+// Callers without a persistent cache (core.RunEach, cluster fleets and
+// fidelity routers built without one) use NewMemory, a Store with no
+// backend.
+//
 // The execution fidelity participates in the version salt. Pure DES
 // results are stored under core.SimVersion exactly as before; the
 // fidelity layer (internal/fidelity) salts every approximate strategy
@@ -42,6 +49,7 @@ import (
 	"sync/atomic"
 
 	"hic/internal/host"
+	"hic/internal/obs"
 )
 
 // DefaultDir is the conventional store location, relative to the
@@ -76,22 +84,31 @@ type memEntry struct {
 	untouched bool
 }
 
-// Store is a Backend-backed result cache. It is safe for concurrent
-// use by the parallel sweep runners.
+// Store is a result cache: a memory layer over an optional Backend,
+// with an in-flight table that collapses concurrent computations of
+// one key into a single simulation. It is safe for concurrent use by
+// the parallel sweep runners. A Store from NewMemory has no backend:
+// it is the in-process dedup memo for callers without a persistent
+// cache, and does no JSON encoding and no backend call.
 type Store struct {
-	be Backend
+	be Backend // nil for a memory-only store
 
-	mu  sync.Mutex
-	mem map[string]memEntry // write-through in-memory layer
+	mu       sync.Mutex
+	mem      map[string]memEntry // write-through in-memory layer
+	inflight map[string]*call    // keys a GetOrCompute is computing
 
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	corrupt atomic.Uint64
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	corrupt   atomic.Uint64
+	collapses atomic.Uint64
+}
 
-	// flight collapses concurrent computations of one key into a single
-	// simulation; its memo layer is disabled because mem above already
-	// memoizes completed entries.
-	flight *Flight
+// call is one in-flight GetOrCompute computation; callers that find it
+// wait on done and share its result.
+type call struct {
+	done chan struct{}
+	res  host.Results
+	err  error
 }
 
 // Open creates (if needed) and opens a disk store rooted at dir.
@@ -104,10 +121,18 @@ func Open(dir string) (*Store, error) {
 }
 
 // NewStore wraps a Backend in the full Store machinery (memory layer,
-// singleflight, accounting).
+// in-flight collapse, accounting).
 func NewStore(be Backend) *Store {
-	return &Store{be: be, mem: make(map[string]memEntry), flight: NewFlight(false)}
+	return &Store{be: be, mem: make(map[string]memEntry), inflight: make(map[string]*call)}
 }
+
+// NewMemory returns a Store with no backend: results live in the
+// memory layer for the Store's lifetime, so a fleet or sweep without a
+// persistent cache still runs each distinct point once. Its size is
+// O(distinct keys), which for fleet workloads is the archetype-catalog
+// size, not the host count. The blob namespace needs a backend, so
+// NewMemory stores are for results only.
+func NewMemory() *Store { return NewStore(nil) }
 
 // OpenRemote opens the results namespace a hicserve coordinator serves
 // at base (e.g. "http://coordinator:8091") — the -cache-url path every
@@ -134,20 +159,13 @@ func (s *Store) Dir() string { return s.be.Name() }
 // already did (the first hit on an entry Contains left there is that
 // first hit, so it touches).
 func (s *Store) Get(key, version, canonical string) (host.Results, bool) {
-	s.mu.Lock()
-	if m, ok := s.mem[key]; ok {
-		if m.untouched {
-			s.mem[key] = memEntry{r: m.r}
-		}
-		s.mu.Unlock()
-		if m.untouched {
-			s.be.Touch(key)
-		}
-		s.hits.Add(1)
-		return m.r, true
+	if r, ok := s.memHit(key); ok {
+		return r, true
 	}
-	s.mu.Unlock()
-
+	if s.be == nil {
+		s.misses.Add(1)
+		return host.Results{}, false
+	}
 	data, ok := s.be.Load(key)
 	if !ok {
 		s.misses.Add(1)
@@ -173,6 +191,25 @@ func (s *Store) Get(key, version, canonical string) (host.Results, bool) {
 	s.be.Touch(key)
 	s.hits.Add(1)
 	return *r, true
+}
+
+// memHit serves key from the memory layer, counting the hit and paying
+// the recency bump an entry Contains left there still owes.
+func (s *Store) memHit(key string) (host.Results, bool) {
+	s.mu.Lock()
+	m, ok := s.mem[key]
+	if m.untouched {
+		s.mem[key] = memEntry{r: m.r}
+	}
+	s.mu.Unlock()
+	if !ok {
+		return host.Results{}, false
+	}
+	if m.untouched {
+		s.be.Touch(key)
+	}
+	s.hits.Add(1)
+	return m.r, true
 }
 
 // decodeEntry decodes a stored result entry. A nil result with a nil
@@ -204,6 +241,9 @@ func (s *Store) Contains(key, version, canonical string) bool {
 		return true
 	}
 	s.mu.Unlock()
+	if s.be == nil {
+		return false
+	}
 	data, ok := s.be.Load(key)
 	if !ok {
 		return false
@@ -228,7 +268,9 @@ func (s *Store) Put(key, version, canonical string, r host.Results) error {
 	s.mu.Lock()
 	s.mem[key] = memEntry{r: r}
 	s.mu.Unlock()
-
+	if s.be == nil {
+		return nil
+	}
 	data, err := json.Marshal(entry{Version: version, Canonical: canonical, Results: r})
 	if err != nil {
 		return fmt.Errorf("runcache: encoding entry: %w", err)
@@ -237,25 +279,45 @@ func (s *Store) Put(key, version, canonical string, r host.Results) error {
 }
 
 // GetOrCompute returns the results for key, computing and storing them
-// at most once across concurrent callers: a lookup miss runs compute
-// under the store's singleflight, so N workers hitting the same cold
-// key cost one simulation, one Put, and N-1 collapses. Put failures are
-// returned (a broken cache directory should not be silently recomputed
-// forever); compute errors propagate to every collapsed caller.
+// at most once across concurrent callers: a memory-layer hit returns at
+// once; otherwise the first caller looks the key up and, on a miss,
+// runs compute while later callers wait for it, so N workers hitting
+// the same cold key cost one simulation, one Put, and N-1 collapses.
+// Every caller returns only after the winning compute has finished.
+// Put failures are returned (a broken cache directory should not be
+// silently recomputed forever); compute errors propagate to every
+// collapsed caller and are never stored, so a later call recomputes.
 func (s *Store) GetOrCompute(key, version, canonical string, compute func() (host.Results, error)) (host.Results, error) {
-	return s.flight.Do(key, func() (host.Results, error) {
-		if r, ok := s.Get(key, version, canonical); ok {
-			return r, nil
-		}
-		r, err := compute()
-		if err != nil {
-			return host.Results{}, err
-		}
-		if err := s.Put(key, version, canonical, r); err != nil {
-			return host.Results{}, err
-		}
+	if r, ok := s.memHit(key); ok {
 		return r, nil
-	})
+	}
+	s.mu.Lock()
+	if c, ok := s.inflight[key]; ok {
+		s.mu.Unlock()
+		s.collapses.Add(1)
+		if sink := obs.Default(); sink != nil {
+			sink.Emit(obs.Event{Kind: obs.KindCacheCollapse, Key: key, Why: "inflight"})
+		}
+		<-c.done
+		return c.res, c.err
+	}
+	c := &call{done: make(chan struct{})}
+	s.inflight[key] = c
+	s.mu.Unlock()
+
+	// The Get re-checks the memory layer: a computation that finished
+	// between memHit and registering c has already stored its result.
+	if r, ok := s.Get(key, version, canonical); ok {
+		c.res = r
+	} else if c.res, c.err = compute(); c.err == nil {
+		c.err = s.Put(key, version, canonical, c.res)
+	}
+
+	s.mu.Lock()
+	delete(s.inflight, key)
+	s.mu.Unlock()
+	close(c.done)
+	return c.res, c.err
 }
 
 // dropCorrupt removes an undecodable entry and records the event. A
@@ -283,14 +345,14 @@ type Stats struct {
 	// Corrupt counts undecodable entries found during lookups; each was
 	// deleted and also counted as a miss.
 	Corrupt uint64
-	// Collapses counts simulations avoided by in-process singleflight:
+	// Collapses counts simulations avoided by the in-flight collapse:
 	// GetOrCompute calls that shared another caller's in-flight run.
 	Collapses uint64
 }
 
-// Stats returns the store's lookup and singleflight counters.
+// Stats returns the store's lookup and in-flight collapse counters.
 func (s *Store) Stats() Stats {
-	return Stats{Hits: s.Hits(), Misses: s.Misses(), Corrupt: s.Corrupt(), Collapses: s.flight.Collapses()}
+	return Stats{Hits: s.Hits(), Misses: s.Misses(), Corrupt: s.Corrupt(), Collapses: s.collapses.Load()}
 }
 
 // MetricsInto implements the control plane's MetricSource interface:

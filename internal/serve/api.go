@@ -123,10 +123,11 @@ func (q QueryRequest) ClusterConfig() cluster.Config {
 // this query: every knob that changes routing or calibration is in the
 // key, so two queries share a router (and its anchor calibrations)
 // exactly when reusing it is sound. The fleet seed is included because
-// anchor seeds derive from it (cluster.SeedPool).
+// anchor seeds derive from it (cluster.SeedPool), and NoCache because a
+// no_cache query's router must not read or write the shared cache.
 func (q QueryRequest) FidelitySignature() string {
-	return fmt.Sprintf("m=%s tol=%g audit=%g es=%t warm=%s seed=%d",
-		q.Fidelity, q.Tol, q.AuditRate, q.EarlyStop, q.Warm, q.Seed)
+	return fmt.Sprintf("m=%s tol=%g audit=%g es=%t warm=%s seed=%d nocache=%t",
+		q.Fidelity, q.Tol, q.AuditRate, q.EarlyStop, q.Warm, q.Seed, q.NoCache)
 }
 
 // Prefetchable reports whether the coordinator should dispense

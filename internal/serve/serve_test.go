@@ -304,6 +304,27 @@ func TestResidentStateMakesSecondQueryWarm(t *testing.T) {
 	}
 }
 
+// TestNoCacheQueryGetsItsOwnRouter: a no_cache query and a cached
+// query that agree on every routing knob still run on distinct resident
+// routers, because only the cached query's router may touch the shared
+// cache. Both give the same aggregates.
+func TestNoCacheQueryGetsItsOwnRouter(t *testing.T) {
+	h := newHarness(t, Options{LeaseTimeout: 30 * time.Second})
+	h.startWorkers(1, nil)
+
+	q := QueryRequest{Hosts: 8, Seed: 1, WarmupMS: 2, MeasureMS: 3,
+		EarlyStop: true, TimeoutSec: 120}
+	cached, _ := h.query(q)
+	q.NoCache = true
+	uncached, _ := h.query(q)
+	if ws := h.workers[0].Stats(); ws.Routers != 2 {
+		t.Errorf("worker holds %d routers, want 2 (no_cache shared the cached query's router)", ws.Routers)
+	}
+	if uncached.AggregateHash != cached.AggregateHash {
+		t.Errorf("no_cache hash %s != cached %s", uncached.AggregateHash, cached.AggregateHash)
+	}
+}
+
 // TestQueryValidation: malformed queries are rejected up front, before
 // any lease is cut.
 func TestQueryValidation(t *testing.T) {
