@@ -253,8 +253,8 @@ func compareReports(oldRep, newRep report, tol float64) cmpResult {
 				c.higherBetter("serve.cold_hosts_per_sec", oldRep.Serve.ColdHostsPerSec, newRep.Serve.ColdHostsPerSec, tol)
 				c.higherBetter("serve.scaling_ratio", oldRep.Serve.ScalingRatio, newRep.Serve.ScalingRatio, tol)
 				c.higherBetter("serve.warm_speedup", oldRep.Serve.WarmSpeedup, newRep.Serve.WarmSpeedup, tol)
-				// Tracing cost is noisy-class: the traced warm query's
-				// wall over the untraced warm query's (≈1.0 when the
+				// Tracing cost is noisy-class: the traced warm queries'
+				// median wall over the untraced ones' (≈1.0 when the
 				// instrumented wire path is cheap).
 				c.lowerBetter("serve.trace_overhead", oldRep.Serve.TraceOverhead, newRep.Serve.TraceOverhead, tol)
 			}

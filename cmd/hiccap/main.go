@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"hic/internal/metrics"
+	"hic/internal/obs"
 	"hic/internal/telemetry"
 	"hic/internal/wire"
 )
@@ -125,7 +126,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hiccap: %v\n", err)
 			os.Exit(1)
 		}
-		if err := telemetry.WritePrometheus(mf, reg.Snapshot()); err != nil {
+		if err := obs.WritePrometheus(mf, reg.Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "hiccap: writing %s: %v\n", *metricsOut, err)
 			os.Exit(1)
 		}

@@ -172,9 +172,6 @@ func main() {
 		if router != nil {
 			srv.AddSource(router)
 		}
-		if warmStore != nil {
-			srv.AddSource(warmStore)
-		}
 		if collector != nil {
 			srv.AddSource(collector)
 		}

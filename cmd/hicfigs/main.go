@@ -142,9 +142,6 @@ func main() {
 		if router != nil {
 			srv.AddSource(router)
 		}
-		if warmStore != nil {
-			srv.AddSource(warmStore)
-		}
 		// One registry run with one phase per experiment: /progress shows
 		// which figure is executing even though the per-figure point count
 		// is internal to each experiment.

@@ -81,7 +81,6 @@ func main() {
 	estop := flag.Bool("estop", false, "query: early-stop measurement windows once estimates converge")
 	warm := flag.String("warm", "", "query: cross-run warm start: off, calib, or full ('' = off)")
 	noCache := flag.Bool("no-cache", false, "query: bypass the shared run cache")
-	noPrefetch := flag.Bool("no-prefetch", false, "query: disable signature prefetch leases (workers calibrate lazily)")
 	rangeHosts := flag.Int("range-hosts", 0, "query: hosts per shard range (0 = auto)")
 	csv := flag.Bool("csv", false, "query: stream per-host CSV to stdout instead of the result JSON")
 	timeoutSec := flag.Float64("timeout-sec", 0, "query: fail the query after this many seconds (0 = none)")
@@ -105,7 +104,6 @@ func main() {
 			EarlyStop:      *estop,
 			Warm:           *warm,
 			NoCache:        *noCache,
-			NoPrefetch:     *noPrefetch,
 			RangeHosts:     *rangeHosts,
 			TimeoutSec:     *timeoutSec,
 			Points:         *csv,
@@ -178,10 +176,7 @@ func runCoordinator(addr, cacheDir, warmDir string, cacheMaxMB int,
 		obs.Set(obsSrv)
 	}
 	defer obsSrv.Close()
-	obsSrv.AddSource(store)
-	if warmStore != nil {
-		obsSrv.AddSource(warmStore)
-	}
+	obsSrv.AddSource(store) // the coordinator reports the warm store, labeled
 
 	var logw *os.File
 	if verbose {

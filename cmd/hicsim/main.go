@@ -18,6 +18,7 @@ import (
 
 	"hic/internal/core"
 	"hic/internal/host"
+	"hic/internal/obs"
 	"hic/internal/sim"
 	"hic/internal/telemetry"
 	"hic/internal/trace"
@@ -167,7 +168,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hicsim: %v\n", err)
 			os.Exit(1)
 		}
-		if err := telemetry.WritePrometheus(f, tb.Registry.Snapshot()); err != nil {
+		if err := obs.WritePrometheus(f, tb.Registry.Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "hicsim: writing %s: %v\n", *metricsOut, err)
 			os.Exit(1)
 		}

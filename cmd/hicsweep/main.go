@@ -131,9 +131,6 @@ func main() {
 		if router != nil {
 			srv.AddSource(router)
 		}
-		if warmStore != nil {
-			srv.AddSource(warmStore)
-		}
 	}
 
 	var rows []sweep.Row

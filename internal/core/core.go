@@ -38,7 +38,6 @@ import (
 
 	"hic/internal/host"
 	"hic/internal/iommu"
-	"hic/internal/mem"
 	"hic/internal/model"
 	"hic/internal/obs"
 	"hic/internal/pkt"
@@ -393,7 +392,3 @@ var (
 	// BlindThreshold is the ~81 Gbps CC reaction threshold.
 	BlindThreshold = model.CCBlindThreshold(1<<20, 100*sim.Microsecond, 4096.0/4452.0)
 )
-
-// MemoryDefaults exposes the memory configuration used by the testbed
-// (for experiment code that annotates results).
-func MemoryDefaults() mem.Config { return mem.DefaultConfig() }

@@ -323,16 +323,3 @@ var Registry = map[string]func(Options) (*Table, error){
 var Order = []string{"3", "4", "5", "6", "target", "buffer", "ats", "cxl", "mba",
 	"subrtt", "cc", "strict", "tail", "isolation", "sawtooth", "software", "numa", "fairness",
 	"sender", "partition", "budget", "ddio", "onset"}
-
-// All runs every experiment in Order.
-func All(o Options) ([]*Table, error) {
-	var tables []*Table
-	for _, id := range Order {
-		t, err := Registry[id](o)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", id, err)
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
-}

@@ -388,18 +388,22 @@ func (r *Router) tally(update func(*Counters)) {
 func (r *Router) Tol() float64 { return r.tol }
 
 // MetricsInto implements the control plane's MetricSource interface:
-// live routing counters under the hic_fidelity_ prefix.
+// live routing counters under the hic_fidelity_ prefix, plus the
+// warm-start store's hic_runcache_* series labeled store="warm" (the
+// unlabeled ones are the result store's).
 func (r *Router) MetricsInto(emit func(name, typ string, v float64)) {
 	c := r.Counters()
 	c.Each(func(name string, v uint64) { emit("hic_fidelity_"+name, "counter", float64(v)) })
 	emit("hic_fidelity_audit_max_err", "gauge", c.AuditMaxErr)
 	emit("hic_fidelity_warm_audit_max_err", "gauge", c.WarmAuditMaxErr)
 	emit("hic_fidelity_tol", "gauge", r.tol)
+	if ws := r.cfg.WarmStore; ws != nil {
+		ws.MetricsInto(func(name, typ string, v float64) { emit(name+`{store="warm"}`, typ, v) })
+	}
 }
 
 // WarmStore exposes the persistent warm-start store (nil when warm
-// start is off) so CLIs can register it as a metrics source and prune
-// it alongside the result cache.
+// start is off) so CLIs can prune it alongside the result cache.
 func (r *Router) WarmStore() *runcache.Store { return r.cfg.WarmStore }
 
 // emit delivers a structured event to the configured sink, falling

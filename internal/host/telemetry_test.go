@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"hic/internal/obs"
 	"hic/internal/sim"
 	"hic/internal/telemetry"
 )
@@ -98,7 +99,7 @@ func TestTelemetryDeterminism(t *testing.T) {
 		if err := telemetry.WriteChromeTrace(&chrome, run); err != nil {
 			t.Fatal(err)
 		}
-		if err := telemetry.WritePrometheus(&prom, tb.Registry.Snapshot()); err != nil {
+		if err := obs.WritePrometheus(&prom, tb.Registry.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 		summary, err := json.Marshal(run.Summary())

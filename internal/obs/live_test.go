@@ -4,6 +4,7 @@
 package obs_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hic/internal/fidelity"
 	"hic/internal/obs"
 	"hic/internal/runcache"
 	"hic/internal/runner"
@@ -145,6 +147,58 @@ func TestServedEndpoints(t *testing.T) {
 			t.Errorf("profile: status %d, %d bytes", resp.StatusCode, len(b))
 		}
 	})
+}
+
+// TestEachStoreSeriesOnce registers a result store and a router that
+// owns a warm store, as the CLIs do, and scrapes once: every
+// hic_runcache_* series appears exactly once, the result store's
+// unlabeled and the warm store's under store="warm". Registering the
+// warm store as a source of its own would print each name twice, which
+// ParseProm rejects.
+func TestEachStoreSeriesOnce(t *testing.T) {
+	s := obs.NewServer(obs.Options{Warn: io.Discard})
+	results, warm := runcache.NewMemory(), runcache.NewMemory()
+	router, err := fidelity.New(fidelity.Config{Warm: fidelity.WarmCalib, WarmStore: warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddSource(results)
+	s.AddSource(router)
+	results.Get("a", "v", "a") // one miss on the result store
+	warm.Get("b", "v", "b")    // two on the warm store
+	warm.Get("c", "v", "c")
+
+	var buf bytes.Buffer
+	if err := s.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := obs.ParseProm(&buf)
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v\n%s", err, buf.String())
+	}
+	if v, err := doc.Value("hic_runcache_misses_total"); err != nil || v != 1 {
+		t.Errorf("unlabeled hic_runcache_misses_total = %v, %v; want the result store's 1", v, err)
+	}
+	for _, name := range []string{"hic_runcache_hits_total", "hic_runcache_misses_total",
+		"hic_runcache_collapses_total", "hic_runcache_corrupt_total"} {
+		samples := doc.Find(name)
+		if len(samples) != 2 {
+			t.Errorf("%s: %d samples, want 2 (result store + warm store)", name, len(samples))
+			continue
+		}
+		var labeled []obs.PromSample
+		for _, smp := range samples {
+			if len(smp.Labels) > 0 {
+				labeled = append(labeled, smp)
+			}
+		}
+		if len(labeled) != 1 || labeled[0].Labels["store"] != "warm" {
+			t.Errorf("%s: labeled samples %+v, want one with store=\"warm\"", name, labeled)
+		}
+		if name == "hic_runcache_misses_total" && len(labeled) == 1 && labeled[0].Value != 2 {
+			t.Errorf(`hic_runcache_misses_total{store="warm"} = %g, want 2`, labeled[0].Value)
+		}
+	}
 }
 
 func TestProfilerWritesFiles(t *testing.T) {

@@ -17,6 +17,10 @@
 //   - /events — a ring-buffered structured event log (JSONL) of
 //     executor lifecycle events with bounded memory.
 //
+// The package also holds the repo's one Prometheus text writer: /metrics
+// and the one-shot snapshot export (WritePrometheus, behind hicsim and
+// hiccap -metrics-out) render through it, and ParseProm validates both.
+//
 // Instrumented layers (runner, runcache, fidelity, core, cluster,
 // sweep) report through the nil-checked Sink interface: with no sink
 // installed the entire path is a single atomic load and a nil check,
@@ -25,7 +29,7 @@
 // zero-alloc gates prove it.
 //
 // Dependency direction: obs is a leaf package (stdlib + metrics +
-// telemetry + stats only). Instrumented packages either import obs for
+// stats only). Instrumented packages either import obs for
 // the Sink (fidelity, cluster, sweep, core, runcache) or — where the
 // import would cycle or is simply unnecessary — implement the
 // structural MetricSource interface without importing anything

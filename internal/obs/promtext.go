@@ -6,14 +6,110 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"hic/internal/metrics"
 )
 
-// Minimal parser for the Prometheus 0.0.4 text exposition format —
-// enough to validate everything this package and the telemetry
-// exporter emit. Tests parse golden /metrics output through this
-// instead of string-matching, so formatting churn that remains valid
-// exposition does not break them, while real violations (bad names,
-// duplicate conflicting TYPE lines, unparsable values) do.
+// The Prometheus 0.0.4 text exposition format: the one writer every
+// exposition in the repo renders through (the live /metrics, its fleet
+// rollup, and the one-shot snapshot export behind -metrics-out), and a
+// minimal parser that validates what it writes. Tests parse output
+// through ParseProm instead of string-matching, so formatting churn
+// that remains valid exposition does not break them, while real
+// violations (bad names, conflicting TYPE lines, a series written
+// twice, unparsable values) do.
+
+// promWriter renders samples as 0.0.4 text. It keeps each family's
+// lines together under one TYPE line, in the order the families first
+// appear, even when sources interleave them (the coordinator emits each
+// worker's series in turn; the result and warm stores share the
+// hic_runcache_* names). A family's suffixed series (a gauge's _max, a
+// summary's _sum and _count) follow under that one TYPE.
+type promWriter struct {
+	order []string
+	text  map[string][]byte
+	last  string
+}
+
+// sample writes one series line under its family (the name up to its
+// label set), declaring the family's type if this is its first series.
+func sample[V int64 | uint64 | float64](p *promWriter, name, typ string, v V) {
+	fam := name
+	if i := strings.IndexByte(fam, '{'); i >= 0 {
+		fam = fam[:i]
+	}
+	if _, ok := p.text[fam]; !ok {
+		if p.text == nil {
+			p.text = make(map[string][]byte)
+		}
+		p.order = append(p.order, fam)
+		p.text[fam] = fmt.Appendf(nil, "# TYPE %s %s\n", fam, typ)
+	}
+	p.last = fam
+	line(p, name, v)
+}
+
+// line writes one series line of the family sampled last. Integers
+// print with %d and floats with %g, so a counter past 1e6 stays an
+// integer on the page.
+func line[V int64 | uint64 | float64](p *promWriter, series string, v V) {
+	p.text[p.last] = fmt.Appendf(p.text[p.last], "%s %v\n", series, v)
+}
+
+// flush writes the page, one family after another.
+func (p *promWriter) flush(w io.Writer) error {
+	for _, fam := range p.order {
+		if _, err := w.Write(p.text[fam]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// promName mangles a dotted registry name into the Prometheus charset
+// under prefix: promName("hic_", "nic.rx.drops") = "hic_nic_rx_drops".
+// Every rune outside [a-zA-Z0-9_] (an invalid UTF-8 byte counts as one)
+// becomes one underscore.
+func promName(prefix, name string) string {
+	b := make([]byte, 0, len(prefix)+len(name))
+	b = append(b, prefix...)
+	for _, r := range name {
+		if r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9') {
+			b = append(b, byte(r))
+		} else {
+			b = append(b, '_')
+		}
+	}
+	return string(b)
+}
+
+// WritePrometheus renders one registry snapshot (one run's metrics):
+// counters and gauges directly, a gauge with its _max, histograms as
+// summaries with fixed quantiles, _sum and _count. Families are named
+// promName("hic_", name) and sorted by name within each kind; the
+// output is deterministic for a given snapshot. hicsim and hiccap
+// -metrics-out files are this output.
+func WritePrometheus(w io.Writer, snap metrics.Snapshot) error {
+	p := &promWriter{}
+	for _, n := range sortedKeys(snap.Counters) {
+		sample(p, promName("hic_", n), "counter", snap.Counters[n])
+	}
+	for _, n := range sortedKeys(snap.Gauges) {
+		name, g := promName("hic_", n), snap.Gauges[n]
+		sample(p, name, "gauge", g.Value)
+		line(p, name+"_max", g.Max)
+	}
+	for _, n := range sortedKeys(snap.Histograms) {
+		name, h := promName("hic_", n), snap.Histograms[n]
+		sample(p, name+`{quantile="0.5"}`, "summary", h.P50)
+		line(p, name+`{quantile="0.9"}`, h.P90)
+		line(p, name+`{quantile="0.99"}`, h.P99)
+		line(p, name+`{quantile="0.999"}`, h.P999)
+		line(p, name+"_sum", h.Sum)
+		line(p, name+"_count", h.Count)
+	}
+	return p.flush(w)
+}
 
 // PromSample is one parsed sample line.
 type PromSample struct {
@@ -56,9 +152,11 @@ func (d *PromDoc) Value(name string) (float64, error) {
 }
 
 // ParseProm parses a 0.0.4 text exposition document, validating metric
-// names, label syntax, and TYPE consistency.
+// names, label syntax, TYPE consistency, and that no series (a name
+// and its label set) appears twice — a scraper rejects such a page.
 func ParseProm(r io.Reader) (*PromDoc, error) {
 	doc := &PromDoc{Types: make(map[string]string)}
+	seen := make(map[string]bool)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
@@ -78,6 +176,11 @@ func ParseProm(r io.Reader) (*PromDoc, error) {
 		if err != nil {
 			return nil, fmt.Errorf("promtext: line %d: %w", lineNo, err)
 		}
+		id := fmt.Sprintf("%s%q", s.Name, s.Labels) // fmt prints map keys sorted
+		if seen[id] {
+			return nil, fmt.Errorf("promtext: line %d: duplicate series %s %v", lineNo, s.Name, s.Labels)
+		}
+		seen[id] = true
 		doc.Samples = append(doc.Samples, s)
 	}
 	if err := sc.Err(); err != nil {

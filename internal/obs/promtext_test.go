@@ -60,6 +60,8 @@ func TestParsePromRejects(t *testing.T) {
 		{"unknown TYPE", "# TYPE hic_x widget\n"},
 		{"TYPE bad name", "# TYPE bad-name counter\n"},
 		{"conflicting TYPE", "# TYPE hic_x counter\n# TYPE hic_x gauge\n"},
+		{"duplicate series", "# TYPE hic_x counter\nhic_x 1\nhic_x 2\n"},
+		{"duplicate labeled series", `hic_x{a="1",b="2"} 1` + "\n" + `hic_x{b="2",a="1"} 2` + "\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -72,8 +74,8 @@ func TestParsePromRejects(t *testing.T) {
 
 func TestParsePromRepeatedConsistentType(t *testing.T) {
 	// Re-declaring the SAME type is legal (the promWriter never does it,
-	// but concatenated expositions may).
-	if _, err := ParseProm(strings.NewReader("# TYPE hic_x counter\nhic_x 1\n# TYPE hic_x counter\nhic_x 2\n")); err != nil {
+	// but concatenated expositions may), as long as each series is new.
+	if _, err := ParseProm(strings.NewReader("# TYPE hic_x counter\nhic_x{a=\"1\"} 1\n# TYPE hic_x counter\nhic_x{a=\"2\"} 2\n")); err != nil {
 		t.Errorf("consistent TYPE re-declaration rejected: %v", err)
 	}
 }

@@ -11,12 +11,10 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"hic/internal/metrics"
-	"hic/internal/telemetry"
 )
 
 // Options configures a Server.
@@ -326,74 +324,40 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	warnings := s.warnings
 	s.mu.Unlock()
 
-	pw := &promWriter{w: w}
-	pw.sample("hic_obs_uptime_seconds", "gauge", now.Sub(s.start).Seconds())
-	pw.sample("hic_obs_events_total", "counter", float64(s.ring.Total()))
-	pw.sample("hic_obs_events_dropped_total", "counter", float64(s.ring.Dropped()))
-	pw.sample("hic_obs_warnings_total", "counter", float64(warnings))
+	p := &promWriter{}
+	sample(p, "hic_obs_uptime_seconds", "gauge", now.Sub(s.start).Seconds())
+	sample(p, "hic_obs_events_total", "counter", s.ring.Total())
+	sample(p, "hic_obs_events_dropped_total", "counter", s.ring.Dropped())
+	sample(p, "hic_obs_warnings_total", "counter", warnings)
 	for i, k := range kinds {
-		pw.sample(fmt.Sprintf("hic_obs_events_kind_total{kind=%q}", k), "counter", float64(kindCounts[i]))
+		sample(p, fmt.Sprintf("hic_obs_events_kind_total{kind=%q}", k), "counter", kindCounts[i])
 	}
 
 	for _, st := range s.tracker.Snapshot() {
 		l := fmt.Sprintf("{run=%q}", st.Run)
-		pw.sample("hic_obs_run_total"+l, "gauge", float64(st.Total))
-		pw.sample("hic_obs_run_done"+l, "gauge", float64(st.Done))
-		pw.sample("hic_obs_run_points_per_sec"+l, "gauge", st.PointsPerSec)
-		pw.sample("hic_obs_run_eta_seconds"+l, "gauge", st.EtaSec)
-		fin := 0.0
+		sample(p, "hic_obs_run_total"+l, "gauge", st.Total)
+		sample(p, "hic_obs_run_done"+l, "gauge", st.Done)
+		sample(p, "hic_obs_run_points_per_sec"+l, "gauge", st.PointsPerSec)
+		sample(p, "hic_obs_run_eta_seconds"+l, "gauge", st.EtaSec)
+		var fin int64
 		if st.Finished {
 			fin = 1
 		}
-		pw.sample("hic_obs_run_finished"+l, "gauge", fin)
+		sample(p, "hic_obs_run_finished"+l, "gauge", fin)
 	}
 
 	for _, src := range sources {
-		src.MetricsInto(pw.sample)
+		src.MetricsInto(func(name, typ string, v float64) { sample(p, name, typ, v) })
 	}
-	if err := pw.err; err != nil {
-		return err
-	}
-	return s.agg.write(w)
-}
-
-// promWriter renders (name, type, value) samples as 0.0.4 text,
-// emitting one TYPE line per base metric name (labels stripped) the
-// first time it appears.
-type promWriter struct {
-	w     io.Writer
-	typed map[string]bool
-	err   error
-}
-
-func (p *promWriter) sample(name, typ string, v float64) {
-	if p.err != nil {
-		return
-	}
-	base := name
-	if i := strings.IndexByte(base, '{'); i >= 0 {
-		base = base[:i]
-	}
-	if p.typed == nil {
-		p.typed = make(map[string]bool)
-	}
-	if !p.typed[base] {
-		p.typed[base] = true
-		if _, err := fmt.Fprintf(p.w, "# TYPE %s %s\n", base, typ); err != nil {
-			p.err = err
-			return
-		}
-	}
-	if _, err := fmt.Fprintf(p.w, "%s %g\n", name, v); err != nil {
-		p.err = err
-	}
+	s.agg.write(p)
+	return p.flush(w)
 }
 
 // fleetAgg accumulates registry snapshots across completed
 // simulations: counters sum, gauge maxima keep their max, histograms
 // keep count and sum. Quantiles are not merged (they are not mergeable
 // from snapshots); per-run quantiles remain available through the
-// one-shot exporters.
+// one-shot WritePrometheus export.
 type fleetAgg struct {
 	mu       sync.Mutex
 	runs     uint64
@@ -430,32 +394,24 @@ func (f *fleetAgg) merge(snap metrics.Snapshot) {
 	}
 }
 
-// write renders the rollup under the hic_fleet_ prefix, reusing the
-// PR-1 exporter's name mangling so series names line up with the
+// write renders the rollup under the hic_fleet_ prefix with the
+// snapshot export's name mangling, so series names line up with the
 // one-shot -metrics-out output.
-func (f *fleetAgg) write(w io.Writer) error {
+func (f *fleetAgg) write(p *promWriter) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	pw := &promWriter{w: w}
-	pw.sample("hic_fleet_runs_total", "counter", float64(f.runs))
+	sample(p, "hic_fleet_runs_total", "counter", f.runs)
 	for _, n := range sortedKeys(f.counters) {
-		pw.sample(fleetName(n)+"_total", "counter", float64(f.counters[n]))
+		sample(p, promName("hic_fleet_", n)+"_total", "counter", f.counters[n])
 	}
 	for _, n := range sortedKeys(f.gaugeMax) {
-		pw.sample(fleetName(n)+"_max", "gauge", float64(f.gaugeMax[n]))
+		sample(p, promName("hic_fleet_", n)+"_max", "gauge", f.gaugeMax[n])
 	}
 	for _, n := range sortedKeys(f.histCnt) {
-		fn := fleetName(n)
-		pw.sample(fn+"_count", "counter", float64(f.histCnt[n]))
-		pw.sample(fn+"_sum", "gauge", f.histSum[n])
+		name := promName("hic_fleet_", n)
+		sample(p, name+"_count", "counter", f.histCnt[n])
+		sample(p, name+"_sum", "gauge", f.histSum[n])
 	}
-	return pw.err
-}
-
-// fleetName maps a registry metric name into the fleet-rollup
-// namespace: "nic.rx.drops" → "hic_fleet_nic_rx_drops".
-func fleetName(n string) string {
-	return "hic_fleet_" + strings.TrimPrefix(telemetry.PromName(n), "hic_")
 }
 
 func sortedKeys[M ~map[string]V, V any](m M) []string {

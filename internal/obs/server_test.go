@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"hic/internal/metrics"
-	"hic/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -197,7 +196,7 @@ func TestMetricNameStabilityAcrossZero(t *testing.T) {
 
 	export := func() (names []string, types map[string]string) {
 		var buf bytes.Buffer
-		if err := telemetry.WritePrometheus(&buf, reg.Snapshot()); err != nil {
+		if err := WritePrometheus(&buf, reg.Snapshot()); err != nil {
 			t.Fatalf("WritePrometheus: %v", err)
 		}
 		doc, err := ParseProm(&buf)
@@ -232,7 +231,7 @@ func TestMetricNameStabilityAcrossZero(t *testing.T) {
 	}
 	// And the zeroed values really are zero.
 	var buf bytes.Buffer
-	if err := telemetry.WritePrometheus(&buf, reg.Snapshot()); err != nil {
+	if err := WritePrometheus(&buf, reg.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	doc, err := ParseProm(&buf)

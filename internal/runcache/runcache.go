@@ -357,7 +357,9 @@ func (s *Store) Stats() Stats {
 
 // MetricsInto implements the control plane's MetricSource interface:
 // live cache counters under the hic_runcache_ prefix, sampled from the
-// store's atomics on every /metrics scrape.
+// store's atomics on every /metrics scrape. These unlabeled series are
+// the result store's; the warm-start store's owner (the fidelity
+// router, the serve coordinator) reports it under store="warm".
 func (s *Store) MetricsInto(emit func(name, typ string, v float64)) {
 	st := s.Stats()
 	emit("hic_runcache_hits_total", "counter", float64(st.Hits))

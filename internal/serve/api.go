@@ -59,12 +59,6 @@ type QueryRequest struct {
 	// NoCache bypasses the shared run cache for this query.
 	NoCache bool `json:"no_cache,omitempty"`
 
-	// NoPrefetch skips the coordinator's signature prefetch leases in
-	// auto mode (workers then calibrate lazily on first touch inside
-	// range execution). Prefetch is on by default, so the knob is
-	// spelled as a disable to keep the zero-value-is-default contract.
-	NoPrefetch bool `json:"no_prefetch,omitempty"`
-
 	// RangeHosts overrides the shard granularity (0 = auto: the fleet
 	// split about eight ranges per registered worker, like the runner's
 	// chunk frontier).
@@ -132,9 +126,10 @@ func (q QueryRequest) FidelitySignature() string {
 
 // Prefetchable reports whether the coordinator should dispense
 // signature prefetch leases before this query's ranges: auto-mode
-// fidelity (the only mode that calibrates) with prefetch not disabled.
+// fidelity, the only mode that calibrates. Prefetch is parallelism,
+// never results, so there is no knob to turn it off.
 func (q QueryRequest) Prefetchable() bool {
-	return q.Fidelity == string(fidelity.ModeAuto) && !q.NoPrefetch
+	return q.Fidelity == string(fidelity.ModeAuto)
 }
 
 // NeedsRouter reports whether the query routes through a fidelity

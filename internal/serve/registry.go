@@ -205,10 +205,15 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 // MetricsInto implements the control plane's MetricSource interface:
 // the federated per-worker series (hic_worker_*, labeled by worker id)
 // plus the fleet rollups (hic_workers_*, the label-free sums), sampled
-// from the registry on every /metrics scrape. Per-worker counters sum
-// to the merged queries' counters by construction — both sides fold
-// the same accepted partials.
+// from the registry on every /metrics scrape, and the warm-start
+// store's hic_runcache_* series labeled store="warm" (the result store
+// is registered on its own, unlabeled). Per-worker counters sum to the
+// merged queries' counters by construction — both sides fold the same
+// accepted partials.
 func (s *Server) MetricsInto(emit func(name, typ string, v float64)) {
+	if ws := s.opts.WarmStore; ws != nil {
+		ws.MetricsInto(func(name, typ string, v float64) { emit(name+`{store="warm"}`, typ, v) })
+	}
 	infos := s.workerInfos(time.Now())
 
 	var staleCount, activeCount float64

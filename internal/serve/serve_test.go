@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -358,13 +359,14 @@ func TestQueryValidation(t *testing.T) {
 }
 
 // TestRemovedQueryKnobsAreIgnored: a query from an older client that
-// still disables knee search and calibration transfer decodes, validates
-// and keys the same resident router as one without those fields. "Off"
-// was what they asked for, and it is now the only behaviour.
+// still disables knee search, calibration transfer or prefetch decodes,
+// validates and keys the same resident router as one without those
+// fields. "Off" was what the first two asked for, and it is now the
+// only behaviour; prefetch never changed results, so it always runs.
 func TestRemovedQueryKnobsAreIgnored(t *testing.T) {
 	const base = `"hosts":8,"seed":3,"fidelity":"auto","tol":0.1,"early_stop":true`
 	var old, cur QueryRequest
-	if err := json.NewDecoder(strings.NewReader(`{` + base + `,"no_knee_search":true,"no_transfer":true}`)).Decode(&old); err != nil {
+	if err := json.NewDecoder(strings.NewReader(`{` + base + `,"no_knee_search":true,"no_transfer":true,"no_prefetch":true}`)).Decode(&old); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.NewDecoder(strings.NewReader(`{` + base + `}`)).Decode(&cur); err != nil {
@@ -375,6 +377,9 @@ func TestRemovedQueryKnobsAreIgnored(t *testing.T) {
 	}
 	if got, want := old.FidelitySignature(), cur.FidelitySignature(); got != want {
 		t.Errorf("old-client signature %q, want %q", got, want)
+	}
+	if !old.Prefetchable() {
+		t.Error("an old-client auto query with no_prefetch skips prefetch; prefetch always runs in auto mode")
 	}
 }
 
@@ -463,6 +468,48 @@ func TestObsSharesCoordinatorMux(t *testing.T) {
 	}
 	if st.Workers != 1 || st.Queries != 1 || st.RangesOK == 0 {
 		t.Errorf("status = %+v", st)
+	}
+}
+
+// TestCoordinatorStoreSeriesOnce wires the control plane as hicserve
+// does (the result store registered as a source, the warm store owned
+// by the coordinator): one scrape carries each hic_runcache_* series
+// once, the result store's unlabeled and the warm store's under
+// store="warm".
+func TestCoordinatorStoreSeriesOnce(t *testing.T) {
+	store, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	osrv := obs.NewServer(obs.Options{Warn: io.Discard})
+	osrv.AddSource(store)
+	h := newHarness(t, Options{Store: store, Obs: osrv})
+	h.srv.opts.WarmStore.Get("k", "v", "k") // one miss on the warm store only
+
+	resp, err := http.Get(h.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	doc, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	for name, wantWarm := range map[string]float64{"hic_runcache_hits_total": 0, "hic_runcache_misses_total": 1} {
+		if v, err := doc.Value(name); err != nil || v != 0 {
+			t.Errorf("unlabeled %s = %v, %v; want the result store's 0", name, v, err)
+		}
+		var warm []obs.PromSample
+		for _, smp := range doc.Find(name) {
+			if smp.Labels["store"] == "warm" {
+				warm = append(warm, smp)
+			}
+		}
+		if len(warm) != 1 {
+			t.Errorf(`%s{store="warm"}: %d samples, want 1`, name, len(warm))
+		} else if warm[0].Value != wantWarm {
+			t.Errorf(`%s{store="warm"} = %g, want %g`, name, warm[0].Value, wantWarm)
+		}
 	}
 }
 

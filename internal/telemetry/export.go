@@ -1,17 +1,16 @@
-// Exporters: Chrome trace_event JSON (chrome://tracing / Perfetto),
-// Prometheus text exposition of a metrics snapshot, and a per-stage
-// latency-breakdown table for the CLI. All output is deterministic for a
-// given input so telemetry artifacts are byte-reproducible per seed.
+// Exporters: Chrome trace_event JSON (chrome://tracing / Perfetto) and
+// a per-stage latency-breakdown table for the CLI (a metrics snapshot's
+// Prometheus text is obs.WritePrometheus). All output is deterministic
+// for a given input so telemetry artifacts are byte-reproducible per
+// seed.
 package telemetry
 
 import (
 	"fmt"
 	"io"
-	"regexp"
 	"sort"
 
 	"hic/internal/asciiplot"
-	"hic/internal/metrics"
 	"hic/internal/sim"
 	"hic/internal/trace"
 )
@@ -128,74 +127,6 @@ func WriteCaptureTrace(w io.Writer, name string, evs []CaptureEvent) error {
 		})
 	}
 	return trace.WriteChrome(w, name, queueThreads(queues), events)
-}
-
-var promUnsafe = regexp.MustCompile(`[^a-zA-Z0-9_]`)
-
-// promName mangles a dotted metric name into the Prometheus charset with
-// a namespace prefix: "nic.rx.drops" → "hic_nic_rx_drops".
-func promName(name string) string {
-	return "hic_" + promUnsafe.ReplaceAllString(name, "_")
-}
-
-// PromName exposes the exporter's name mangling so other renderers (the
-// obs control plane's fleet rollup) emit the same series names.
-func PromName(name string) string { return promName(name) }
-
-// WritePrometheus renders a metrics snapshot in the Prometheus text
-// exposition format (version 0.0.4): counters and gauges directly,
-// histograms as summaries with count/sum and fixed quantiles. Output is
-// sorted by name.
-func WritePrometheus(w io.Writer, snap metrics.Snapshot) error {
-	names := make([]string, 0, len(snap.Counters))
-	for n := range snap.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		p := promName(n)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", p, p, snap.Counters[n]); err != nil {
-			return err
-		}
-	}
-
-	names = names[:0]
-	for n := range snap.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		p := promName(n)
-		g := snap.Gauges[n]
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n%s_max %d\n", p, p, g.Value, p, g.Max); err != nil {
-			return err
-		}
-	}
-
-	names = names[:0]
-	for n := range snap.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		p := promName(n)
-		h := snap.Histograms[n]
-		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", p); err != nil {
-			return err
-		}
-		for _, q := range []struct {
-			q string
-			v float64
-		}{{"0.5", h.P50}, {"0.9", h.P90}, {"0.99", h.P99}, {"0.999", h.P999}} {
-			if _, err := fmt.Fprintf(w, "%s{quantile=\"%s\"} %g\n", p, q.q, q.v); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", p, h.Sum, p, h.Count); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // StageStats summarizes one pipeline stage across a run's sampled spans.

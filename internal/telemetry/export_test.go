@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"hic/internal/metrics"
 	"hic/internal/sim"
 )
 
@@ -134,48 +133,6 @@ func TestStageBreakdown(t *testing.T) {
 	}
 	if got := BreakdownTable(nil); got != "no sampled spans\n" {
 		t.Errorf("empty table = %q", got)
-	}
-}
-
-func TestWritePrometheus(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.Counter("nic.rx.drops").Add(42)
-	reg.Gauge("nic.buffer.bytes").Set(1234)
-	h := reg.Histogram("nic.host.delay.ns")
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) * 1000)
-	}
-
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, reg.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE hic_nic_rx_drops counter",
-		"hic_nic_rx_drops 42",
-		"# TYPE hic_nic_buffer_bytes gauge",
-		"hic_nic_buffer_bytes 1234",
-		"# TYPE hic_nic_host_delay_ns summary",
-		`hic_nic_host_delay_ns{quantile="0.5"}`,
-		"hic_nic_host_delay_ns_count 100",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestPromName(t *testing.T) {
-	cases := map[string]string{
-		"nic.rx.drops":        "hic_nic_rx_drops",
-		"pcie.credit.wait.ns": "hic_pcie_credit_wait_ns",
-		"weird-name/x":        "hic_weird_name_x",
-	}
-	for in, want := range cases {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q)=%q, want %q", in, got, want)
-		}
 	}
 }
 
