@@ -513,9 +513,9 @@ func NewWith(rt Runtime, cfg Config) (*Testbed, error) {
 	t.Fabric.SetPool(t.Pool)
 
 	// Optional sender-side hosts: the TX datapath with backpressure.
-	emitFor := func(s int) func(int, *pkt.Packet) {
-		return func(sndr int, p *pkt.Packet) { t.Fabric.SendToReceiver(sndr, p) }
-	}
+	// Every connection shares one emit func; it routes by the sender
+	// the connection passes.
+	emit := func(s int, p *pkt.Packet) { t.Fabric.SendToReceiver(s, p) }
 	if cfg.SenderHostModel {
 		for s := 0; s < cfg.Senders; s++ {
 			s := s
@@ -533,12 +533,12 @@ func NewWith(rt Runtime, cfg Config) (*Testbed, error) {
 			}
 			t.Senders = append(t.Senders, sh)
 		}
-		emitFor = func(s int) func(int, *pkt.Packet) {
-			return func(_ int, p *pkt.Packet) { t.Senders[s].Send(p) }
-		}
+		emit = func(s int, p *pkt.Packet) { t.Senders[s].Send(p) }
 	}
 
-	// One connection per (sender, receiver thread) pair.
+	// One connection per (sender, receiver thread) pair, all scanned for
+	// retransmission timeouts by one clock.
+	clock := transport.NewRetxClock(t.Engine, cfg.Transport.RetxScan)
 	for s := 0; s < cfg.Senders; s++ {
 		for q := 0; q < cfg.ReceiverThreads; q++ {
 			cc, err := cfg.CC()
@@ -549,8 +549,8 @@ func NewWith(rt Runtime, cfg Config) (*Testbed, error) {
 			if cfg.VictimConnGbps > 0 && q == cfg.ReceiverThreads-1 {
 				tcfg.AppRateLimit = sim.BitsPerSecond(cfg.VictimConnGbps * 1e9)
 			}
-			conn, err := transport.NewConn(t.Engine, t.Registry, tcfg, cc,
-				flowID(s, q), s, q, emitFor(s))
+			conn, err := transport.NewConn(t.Engine, t.Registry, tcfg, clock, cc,
+				flowID(s, q), s, q, emit)
 			if err != nil {
 				return nil, err
 			}
@@ -597,8 +597,7 @@ func (t *Testbed) ackToConn(a *pkt.Packet) {
 func (t *Testbed) Start() {
 	rng := t.Engine.RNG().Fork()
 	for _, c := range t.Conns {
-		c := c
-		t.Engine.After(sim.Duration(rng.Uint64n(uint64(sim.Millisecond))), c.Start)
+		c.StartAfter(sim.Duration(rng.Uint64n(uint64(sim.Millisecond))))
 	}
 }
 

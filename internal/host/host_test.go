@@ -116,3 +116,32 @@ func TestCalibrationCurves(t *testing.T) {
 }
 
 var calib = flag.Bool("calib", false, "print calibration sweeps")
+
+// TestOneRetxScanEventPerPeriod: a testbed runs one retransmission-scan
+// event per RetxScan period, however many connections it has. Before
+// Start the other components' events do not depend on RetxScan, so
+// halving the scan rate over k periods must remove exactly k/2 events.
+func TestOneRetxScanEventPerPeriod(t *testing.T) {
+	const periods = 20
+	scan := transport.DefaultConfig().RetxScan
+	events := func(senders, threads int, period sim.Duration) uint64 {
+		cfg := swiftConfig(threads)
+		cfg.Senders = senders
+		cfg.Transport.RetxScan = period
+		tb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(tb.Conns); n != senders*threads {
+			t.Fatalf("%d connections, want %d", n, senders*threads)
+		}
+		tb.Engine.Run(sim.Time(periods * scan))
+		return tb.Engine.Processed()
+	}
+	for _, sh := range []struct{ senders, threads int }{{1, 1}, {8, 4}, {40, 12}} {
+		if got := events(sh.senders, sh.threads, scan) - events(sh.senders, sh.threads, 2*scan); got != periods/2 {
+			t.Errorf("%d connections: halving the scan rate removed %d events over %d periods, want %d",
+				sh.senders*sh.threads, got, periods, periods/2)
+		}
+	}
+}

@@ -124,7 +124,7 @@ func TestContainsDoesNotBumpRecency(t *testing.T) {
 	}
 }
 
-// TestHTTPBackendRoundTrip drives a client Store through BackendHandler
+// TestHTTPBackendRoundTrip drives a client Store through Store.Handler
 // to a disk-backed server store: results and blobs written by one side
 // must be served to the other byte-compatibly, remote hits must bump
 // recency on the server's disk, and a second client must dedup against
@@ -135,7 +135,7 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(BackendHandler(serverStore.Backend()))
+	srv := httptest.NewServer(serverStore.Handler())
 	defer srv.Close()
 
 	client := NewStore(NewHTTP(srv.URL, nil))
@@ -217,11 +217,11 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBackendHandlerRejectsBadKeys pins the path-traversal guard: only
-// 64-char lowercase hex keys reach the backend.
+// TestBackendHandlerRejectsBadKeys pins Store.Handler's path-traversal
+// guard: only 64-char lowercase hex keys reach the backend.
 func TestBackendHandlerRejectsBadKeys(t *testing.T) {
 	store, _ := Open(t.TempDir())
-	srv := httptest.NewServer(BackendHandler(store.Backend()))
+	srv := httptest.NewServer(store.Handler())
 	defer srv.Close()
 	for _, path := range []string{
 		"/../../etc/passwd",
@@ -260,7 +260,7 @@ func TestHTTPBackendUnreachableDegradesToMiss(t *testing.T) {
 	}); err == nil || !computed {
 		t.Fatalf("GetOrCompute err=%v computed=%v: compute must run, and the failed Put must surface", err, computed)
 	}
-	if be, ok := s.Backend().(*HTTPBackend); !ok || be.Errors() == 0 {
+	if be, ok := s.be.(*HTTPBackend); !ok || be.Errors() == 0 {
 		t.Fatal("transport failures not counted")
 	}
 }
@@ -275,5 +275,39 @@ func TestRemoteURL(t *testing.T) {
 		if got := RemoteURL(tc.base, RemoteResultsPath); got != tc.want {
 			t.Errorf("RemoteURL(%q) = %q, want %q", tc.base, got, tc.want)
 		}
+	}
+}
+
+// TestHandlerCountsServedTraffic: lookups and writes a store serves to
+// remote clients count on that store, so a coordinator's
+// hic_runcache_* series show its workers' traffic.
+func TestHandlerCountsServedTraffic(t *testing.T) {
+	served, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(served.Handler())
+	defer srv.Close()
+
+	key := Key("v1", "canon")
+	client := NewStore(NewHTTP(srv.URL, nil))
+	if _, ok := client.Get(key, "v1", "canon"); ok {
+		t.Fatal("empty remote store returned a hit")
+	}
+	if err := client.Put(key, "v1", "canon", host.Results{AppThroughputGbps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := NewStore(NewHTTP(srv.URL, nil)).Get(key, "v1", "canon"); !ok {
+			t.Fatal("stored entry not served")
+		}
+	}
+	if st := served.Stats(); st.Hits != 2 || st.Misses != 1 || st.Puts != 1 {
+		t.Errorf("served store Stats() = %+v, want 2 hits, 1 miss, 1 put", st)
+	}
+	got := map[string]float64{}
+	served.MetricsInto(func(name, _ string, v float64) { got[name] = v })
+	if got["hic_runcache_hits_total"] != 2 || got["hic_runcache_misses_total"] != 1 || got["hic_runcache_puts_total"] != 1 {
+		t.Errorf("served store series = %v", got)
 	}
 }

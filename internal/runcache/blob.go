@@ -96,6 +96,7 @@ func (s *Store) PutBlob(key, version, canonical string, v any) error {
 	if err != nil {
 		return fmt.Errorf("runcache: encoding blob entry: %w", err)
 	}
+	s.puts.Add(1)
 	return s.be.Store(key, data)
 }
 

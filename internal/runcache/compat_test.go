@@ -63,7 +63,7 @@ func storeWith(t *testing.T, key string, data []byte) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Backend().Store(key, data); err != nil {
+	if err := s.be.Store(key, data); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -159,7 +159,7 @@ func TestBlobMissVersusCorrupt(t *testing.T) {
 		if st.Misses != 1 || st.Hits != 0 {
 			t.Errorf("%s: stats %+v, want exactly one miss", tc.name, st)
 		}
-		_, present := s.Backend().Load(key)
+		_, present := s.be.Load(key)
 		if tc.corrupt {
 			if st.Corrupt != 1 || present {
 				t.Errorf("%s: corrupt=%d, still on disk=%v; want it dropped as corrupt", tc.name, st.Corrupt, present)
@@ -186,7 +186,7 @@ func TestEntriesAreCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{rk, bk} {
-		data, _ := s.Backend().Load(k)
+		data, _ := s.be.Load(k)
 		var compact bytes.Buffer
 		if err := json.Compact(&compact, data); err != nil {
 			t.Fatal(err)

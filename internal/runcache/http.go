@@ -12,7 +12,7 @@ import (
 )
 
 // HTTP transport for the Backend interface: a hicserve coordinator
-// mounts BackendHandler over its own disk-backed stores, and every
+// mounts Store.Handler over its own disk-backed stores, and every
 // worker (or any CLI pointed at it with -cache-url/-warm-url) opens the
 // same namespaces through NewHTTP. Content addressing makes the
 // protocol trivial and idempotent — an entry is immutable once written,
@@ -40,7 +40,7 @@ func RemoteURL(base, path string) string {
 	return strings.TrimSuffix(base, "/")
 }
 
-// HTTPBackend reaches a Backend served by BackendHandler on another
+// HTTPBackend reaches a Backend served by Store.Handler on another
 // process. Loads degrade to misses on any transport error (the cache
 // accelerates, never fails a run); Stores return errors so a computed
 // result is never silently dropped.
@@ -157,12 +157,16 @@ func validKey(key string) bool {
 	return true
 }
 
-// BackendHandler serves a Backend over HTTP: GET /{key} returns the
-// raw payload (and bumps recency), PUT /{key} stores it, DELETE /{key}
-// removes it. Mount one per namespace (results, warm) — the Store
-// above it already embeds version salts in keys and payloads, so the
-// wire layer needs no further validation beyond key syntax.
-func BackendHandler(be Backend) http.Handler {
+// Handler serves the store's backend over HTTP: GET /{key} returns
+// the raw payload (and bumps recency), PUT /{key} stores it, DELETE
+// /{key} removes it. Mount one per namespace (results, warm) — the
+// client Store already embeds version salts in keys and payloads, so
+// the wire layer needs no further validation beyond key syntax. Served
+// lookups and writes count on this store (Stats, MetricsInto) exactly
+// like its own, so a coordinator's hic_runcache_* series show what its
+// clients fetched and wrote.
+func (s *Store) Handler() http.Handler {
+	be := s.be
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		key := strings.TrimPrefix(r.URL.Path, "/")
 		if !validKey(key) {
@@ -173,10 +177,12 @@ func BackendHandler(be Backend) http.Handler {
 		case http.MethodGet, http.MethodHead:
 			data, ok := be.Load(key)
 			if !ok {
+				s.misses.Add(1)
 				http.NotFound(w, r)
 				return
 			}
 			be.Touch(key)
+			s.hits.Add(1)
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Content-Length", fmt.Sprint(len(data)))
 			if r.Method == http.MethodGet {
@@ -196,6 +202,7 @@ func BackendHandler(be Backend) http.Handler {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
+			s.puts.Add(1)
 			w.WriteHeader(http.StatusNoContent)
 		case http.MethodDelete:
 			be.Delete(key)

@@ -99,6 +99,7 @@ type Store struct {
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
+	puts      atomic.Uint64
 	corrupt   atomic.Uint64
 	collapses atomic.Uint64
 }
@@ -141,10 +142,6 @@ func NewMemory() *Store { return NewStore(nil) }
 func OpenRemote(base string) *Store {
 	return NewStore(NewHTTP(RemoteURL(base, RemoteResultsPath), nil))
 }
-
-// Backend exposes the byte layer, so a coordinator can serve its own
-// store's backend over HTTP (see BackendHandler).
-func (s *Store) Backend() Backend { return s.be }
 
 // Dir returns the store's backing location — the root directory for
 // disk stores, the base URL for remote ones.
@@ -268,6 +265,7 @@ func (s *Store) Put(key, version, canonical string, r host.Results) error {
 	s.mu.Lock()
 	s.mem[key] = memEntry{r: r}
 	s.mu.Unlock()
+	s.puts.Add(1)
 	if s.be == nil {
 		return nil
 	}
@@ -340,8 +338,10 @@ func (s *Store) Corrupt() uint64 { return s.corrupt.Load() }
 
 // Stats is the counter bundle the cmd/ tools print with -v.
 type Stats struct {
-	// Hits and Misses count store lookups (memory layer + backend).
-	Hits, Misses uint64
+	// Hits and Misses count store lookups (memory layer + backend),
+	// and Puts the entries written; lookups and writes served to
+	// remote clients through Handler count too.
+	Hits, Misses, Puts uint64
 	// Corrupt counts undecodable entries found during lookups; each was
 	// deleted and also counted as a miss.
 	Corrupt uint64
@@ -352,7 +352,7 @@ type Stats struct {
 
 // Stats returns the store's lookup and in-flight collapse counters.
 func (s *Store) Stats() Stats {
-	return Stats{Hits: s.Hits(), Misses: s.Misses(), Corrupt: s.Corrupt(), Collapses: s.collapses.Load()}
+	return Stats{Hits: s.Hits(), Misses: s.Misses(), Puts: s.puts.Load(), Corrupt: s.Corrupt(), Collapses: s.collapses.Load()}
 }
 
 // MetricsInto implements the control plane's MetricSource interface:
@@ -364,6 +364,7 @@ func (s *Store) MetricsInto(emit func(name, typ string, v float64)) {
 	st := s.Stats()
 	emit("hic_runcache_hits_total", "counter", float64(st.Hits))
 	emit("hic_runcache_misses_total", "counter", float64(st.Misses))
+	emit("hic_runcache_puts_total", "counter", float64(st.Puts))
 	emit("hic_runcache_collapses_total", "counter", float64(st.Collapses))
 	emit("hic_runcache_corrupt_total", "counter", float64(st.Corrupt))
 }

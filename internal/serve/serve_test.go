@@ -513,6 +513,61 @@ func TestCoordinatorStoreSeriesOnce(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCountsServedStoreTraffic runs what `hicserve
+// -local-workers 2` runs: a cold and then a warm `-warm calib` auto
+// query, with the control plane wired as hicserve wires it. The
+// workers fetch results and calibrations through the coordinator's
+// cache mounts, and those served hits must show on its /metrics: the
+// result store's unlabeled hic_runcache_hits_total and the warm
+// store's under store="warm".
+func TestCoordinatorCountsServedStoreTraffic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a calibrated fleet twice")
+	}
+	store, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	osrv := obs.NewServer(obs.Options{Warn: io.Discard})
+	osrv.AddSource(store)
+	h := newHarness(t, Options{Store: store, Obs: osrv, LeaseTimeout: 30 * time.Second})
+	h.startWorkers(2, nil)
+
+	q := QueryRequest{
+		Hosts: 48, Seed: 1, WarmupMS: 2, MeasureMS: 3,
+		Fidelity: "auto", Warm: "calib", TimeoutSec: 300,
+	}
+	cold, _ := h.query(q)
+	warm, _ := h.query(q)
+	if warm.AggregateHash != cold.AggregateHash {
+		t.Errorf("warm hash %s != cold %s", warm.AggregateHash, cold.AggregateHash)
+	}
+
+	resp, err := http.Get(h.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	doc, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	series := map[string]float64{}
+	for _, name := range []string{"hic_runcache_hits_total", "hic_runcache_puts_total"} {
+		for _, smp := range doc.Find(name) {
+			series[name+"{store="+smp.Labels["store"]+"}"] = smp.Value
+		}
+	}
+	for _, name := range []string{
+		"hic_runcache_hits_total{store=}", "hic_runcache_puts_total{store=}",
+		"hic_runcache_hits_total{store=warm}", "hic_runcache_puts_total{store=warm}",
+	} {
+		if series[name] == 0 {
+			t.Errorf("coordinator %s = 0 after a cold and a warm query; series %v", name, series)
+		}
+	}
+}
+
 // TestSplitRanges pins the shard granularity rules.
 func TestSplitRanges(t *testing.T) {
 	rs := splitRanges(100, 0, 2)

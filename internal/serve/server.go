@@ -101,10 +101,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc(StatusPath, s.handleStatus)
 	mux.HandleFunc(WorkersPath, s.handleWorkers)
 	mux.Handle(runcache.RemoteResultsPath+"/",
-		http.StripPrefix(runcache.RemoteResultsPath, runcache.BackendHandler(s.opts.Store.Backend())))
+		http.StripPrefix(runcache.RemoteResultsPath, s.opts.Store.Handler()))
 	if s.opts.WarmStore != nil {
 		mux.Handle(runcache.RemoteWarmPath+"/",
-			http.StripPrefix(runcache.RemoteWarmPath, runcache.BackendHandler(s.opts.WarmStore.Backend())))
+			http.StripPrefix(runcache.RemoteWarmPath, s.opts.WarmStore.Handler()))
 	}
 	if s.opts.Obs != nil {
 		s.opts.Obs.Register(mux)

@@ -29,16 +29,25 @@ type Receiver struct {
 	goodputPer map[uint32]uint64 // distinct payload bytes per flow
 }
 
-// seqWindow remembers recently seen sequence numbers of one flow.
+// seqWindow remembers recently seen sequence numbers of one flow: a
+// bitmap of windowSpan bits, one per sequence number modulo windowSpan.
+// It starts at minWords words and grows to cover the highest sequence
+// seen, up to the full span: a short-lived flow never touches the rest,
+// and words past the end read as zero, exactly like the untouched words
+// of a full bitmap.
 type seqWindow struct {
 	bits []uint64
 	max  uint64
 }
 
-const windowSpan = 1 << 16 // sequence numbers tracked per flow
+const (
+	windowSpan  = 1 << 16 // sequence numbers tracked per flow
+	windowWords = windowSpan / 64
+	minWords    = 8
+)
 
 func newSeqWindow() *seqWindow {
-	return &seqWindow{bits: make([]uint64, windowSpan/64)}
+	return &seqWindow{bits: make([]uint64, minWords)}
 }
 
 // observe marks seq as seen; it reports whether seq was already present.
@@ -46,15 +55,24 @@ func newSeqWindow() *seqWindow {
 // can only be ancient retransmissions).
 func (w *seqWindow) observe(seq uint64) bool {
 	if seq > w.max {
+		// Every word up to seq's is indexed from here on: below the
+		// span that is word seq/64, past it the whole bitmap.
+		if n := len(w.bits); uint64(n) <= seq/64 && n < windowWords {
+			need := windowWords
+			if seq/64 < windowWords {
+				need = int(seq/64) + 1
+			}
+			w.bits = append(w.bits, make([]uint64, need-n)...)
+		}
 		// Clear the slots between max and seq (they leave the window).
 		for s := w.max + 1; s <= seq && s-w.max <= windowSpan; s++ {
-			w.bits[(s/64)%uint64(len(w.bits))] &^= 1 << (s % 64)
+			w.bits[(s/64)%windowWords] &^= 1 << (s % 64)
 		}
 		w.max = seq
 	} else if w.max-seq >= windowSpan {
 		return true
 	}
-	idx := (seq / 64) % uint64(len(w.bits))
+	idx := (seq / 64) % windowWords
 	mask := uint64(1) << (seq % 64)
 	dup := w.bits[idx]&mask != 0
 	w.bits[idx] |= mask

@@ -225,15 +225,46 @@ type Conn struct {
 	readHist  *metrics.Histogram // ns, 16KB read issue → fully acked
 }
 
-// NewConn creates a connection. emit injects a packet into the fabric on
-// behalf of this connection's sender machine.
-func NewConn(engine *sim.Engine, reg *metrics.Registry, cfg Config, cc CongestionControl,
+// RetxClock is the retransmission-scan timer shared by every connection
+// of one host: one event per RetxScan period, however many connections.
+// Each tick scans the connections in creation order and skips those
+// with nothing outstanding (such a scan does nothing). The order is
+// fixed, not the order windows last filled, so which connections time
+// out on a tick never changes the order their retransmissions leave in.
+type RetxClock struct {
+	period sim.Duration
+	conns  []*Conn
+}
+
+// NewRetxClock starts a scan clock ticking every period, which must be
+// positive. Connections join it in NewConn.
+func NewRetxClock(engine *sim.Engine, period sim.Duration) *RetxClock {
+	k := &RetxClock{period: period}
+	engine.Every(period, k.tick)
+	return k
+}
+
+func (k *RetxClock) tick() {
+	for _, c := range k.conns {
+		if c.inflight.len() > 0 {
+			c.scanRetransmits()
+		}
+	}
+}
+
+// NewConn creates a connection scanned for timeouts by clock, whose
+// period must equal cfg.RetxScan. emit injects a packet into the fabric
+// on behalf of this connection's sender machine.
+func NewConn(engine *sim.Engine, reg *metrics.Registry, cfg Config, clock *RetxClock, cc CongestionControl,
 	flow uint32, sender, queue int, emit func(sender int, p *pkt.Packet)) (*Conn, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cc == nil || emit == nil {
-		return nil, fmt.Errorf("transport: cc and emit are required")
+	if clock == nil || cc == nil || emit == nil {
+		return nil, fmt.Errorf("transport: clock, cc and emit are required")
+	}
+	if clock.period != cfg.RetxScan {
+		return nil, fmt.Errorf("transport: RetxScan %v differs from the scan clock's period %v", cfg.RetxScan, clock.period)
 	}
 	c := &Conn{
 		engine:    engine,
@@ -253,7 +284,7 @@ func NewConn(engine *sim.Engine, reg *metrics.Registry, cfg Config, cc Congestio
 		readHist:  reg.Histogram("transport.read.latency.ns"),
 	}
 	c.trySendFn = c.trySend
-	engine.Every(cfg.RetxScan, c.scanRetransmits)
+	clock.conns = append(clock.conns, c)
 	return c, nil
 }
 
@@ -265,6 +296,10 @@ func (c *Conn) SetPool(pool *pkt.Pool) { c.pool = pool }
 
 // Start begins transmission.
 func (c *Conn) Start() { c.trySend() }
+
+// StartAfter schedules Start d from now through the connection's bound
+// send callback, so staggering many starts allocates no closures.
+func (c *Conn) StartAfter(d sim.Duration) { c.engine.After(d, c.trySendFn) }
 
 // CC exposes the connection's congestion controller.
 func (c *Conn) CC() CongestionControl { return c.cc }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -42,7 +43,7 @@ func newWire(t *testing.T, cfg Config, cc CongestionControl) *wire {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.conn, err = NewConn(w.engine, reg, cfg, cc, 1, 0, 0, func(sender int, p *pkt.Packet) {
+	w.conn, err = NewConn(w.engine, reg, cfg, NewRetxClock(w.engine, cfg.RetxScan), cc, 1, 0, 0, func(sender int, p *pkt.Packet) {
 		w.sent = append(w.sent, p)
 		if w.dropSeqs[p.Seq] {
 			delete(w.dropSeqs, p.Seq)
@@ -76,7 +77,8 @@ func TestConfigValidation(t *testing.T) {
 		cfg := DefaultConfig()
 		mutate(&cfg)
 		e := sim.NewEngine(1)
-		if _, err := NewConn(e, metrics.NewRegistry(), cfg, &fixedCC{cwnd: 1}, 1, 0, 0,
+		clock := NewRetxClock(e, DefaultConfig().RetxScan)
+		if _, err := NewConn(e, metrics.NewRegistry(), cfg, clock, &fixedCC{cwnd: 1}, 1, 0, 0,
 			func(int, *pkt.Packet) {}); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
@@ -292,7 +294,7 @@ func BenchmarkConnSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	conn, err = NewConn(e, reg, DefaultConfig(), &fixedCC{cwnd: 16}, 1, 0, 0,
+	conn, err = NewConn(e, reg, DefaultConfig(), NewRetxClock(e, DefaultConfig().RetxScan), &fixedCC{cwnd: 16}, 1, 0, 0,
 		func(sender int, p *pkt.Packet) {
 			e.After(5*sim.Microsecond, func() {
 				p.EchoHostDelay = sim.Microsecond
@@ -308,5 +310,88 @@ func BenchmarkConnSteadyState(b *testing.B) {
 	target := uint64(b.N)
 	for recv.GoodputBytes()/4096 < target {
 		e.Run(e.Now().Add(sim.Millisecond))
+	}
+}
+
+// TestRetxClockScansInCreationOrder: two connections on one scan clock
+// drain and refill in the reverse of their creation order, then time
+// out on the same tick. Their retransmissions still leave in creation
+// order, as they did when each connection had its own ticker.
+func TestRetxClockScansInCreationOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	e := sim.NewEngine(1)
+	clock := NewRetxClock(e, cfg.RetxScan)
+	var emitted []*pkt.Packet
+	var emittedAt []sim.Time
+	conns := make([]*Conn, 2)
+	for i := range conns {
+		c, err := NewConn(e, metrics.NewRegistry(), cfg, clock, &fixedCC{cwnd: 2}, uint32(i), i, 0,
+			func(_ int, p *pkt.Packet) {
+				emitted = append(emitted, p)
+				emittedAt = append(emittedAt, e.Now())
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+	}
+	first, second := conns[0], conns[1]
+
+	// Fill both windows, pause both, and drain the second first.
+	first.Start()
+	second.Start()
+	first.SetActive(false)
+	second.SetActive(false)
+	for _, c := range []*Conn{second, first} {
+		for _, p := range emitted {
+			if p.Flow == c.Flow() {
+				c.OnAck(pkt.NewAck(0, p))
+			}
+		}
+		if c.InflightPackets() != 0 {
+			t.Fatalf("flow %d did not drain", c.Flow())
+		}
+	}
+	e.Run(e.Now().Add(3*cfg.RetxScan + 7*sim.Microsecond))
+
+	// Refill the second first; nothing is acked, so both time out
+	// together at the first tick past one RTO.
+	mark := len(emitted)
+	second.SetActive(true)
+	first.SetActive(true)
+	e.Run(e.Now().Add(cfg.RTOMin + cfg.RetxScan))
+	var got []string
+	for i, p := range emitted[mark:] {
+		got = append(got, fmt.Sprintf("%d:%d@%v", p.Flow, p.Seq, emittedAt[mark+i]))
+	}
+	refill := emittedAt[mark]
+	tick := (refill/sim.Time(cfg.RetxScan) + 1) * sim.Time(cfg.RetxScan)
+	for tick.Sub(refill) < cfg.RTOMin {
+		tick = tick.Add(cfg.RetxScan)
+	}
+	want := []string{
+		fmt.Sprintf("1:2@%v", refill), fmt.Sprintf("1:3@%v", refill),
+		fmt.Sprintf("0:2@%v", refill), fmt.Sprintf("0:3@%v", refill),
+		fmt.Sprintf("0:2@%v", tick), fmt.Sprintf("0:3@%v", tick),
+		fmt.Sprintf("1:2@%v", tick), fmt.Sprintf("1:3@%v", tick),
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("emissions after refill:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestNewConnRejectsForeignClock: a connection must tick at its own
+// RetxScan, so a clock of another period is refused.
+func TestNewConnRejectsForeignClock(t *testing.T) {
+	cfg := DefaultConfig()
+	e := sim.NewEngine(1)
+	clock := NewRetxClock(e, 2*cfg.RetxScan)
+	if _, err := NewConn(e, metrics.NewRegistry(), cfg, clock, &fixedCC{cwnd: 1}, 1, 0, 0,
+		func(int, *pkt.Packet) {}); err == nil {
+		t.Error("connection accepted a scan clock of another period")
+	}
+	if _, err := NewConn(e, metrics.NewRegistry(), cfg, nil, &fixedCC{cwnd: 1}, 1, 0, 0,
+		func(int, *pkt.Packet) {}); err == nil {
+		t.Error("connection accepted no scan clock")
 	}
 }

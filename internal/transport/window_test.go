@@ -120,7 +120,7 @@ func TestInflightWindowMatchesSortedMap(t *testing.T) {
 			engine := sim.NewEngine(seed)
 			rng := sim.NewRNG(seed)
 			var emitted, onWire []*pkt.Packet
-			conn, err := NewConn(engine, metrics.NewRegistry(), cfg, &fixedCC{cwnd: 24}, 1, 0, 0,
+			conn, err := NewConn(engine, metrics.NewRegistry(), cfg, NewRetxClock(engine, cfg.RetxScan), &fixedCC{cwnd: 24}, 1, 0, 0,
 				func(_ int, p *pkt.Packet) { emitted = append(emitted, p) })
 			if err != nil {
 				t.Fatal(err)
